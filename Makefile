@@ -1,4 +1,4 @@
-.PHONY: install test test-fast verify bench serve-bench train-bench train-bench-smoke obs-smoke obs-top-smoke perf-gate perf-gate-smoke quality-smoke faults-smoke robustness-smoke sweep-smoke tables examples all
+.PHONY: install test test-fast verify bench serve-bench train-bench train-bench-smoke obs-smoke obs-top-smoke perf-gate perf-gate-smoke quality-smoke faults-smoke robustness-smoke e2e-smoke sweep-smoke tables examples all
 
 install:
 	pip install -e . --no-build-isolation
@@ -90,6 +90,12 @@ faults-smoke:
 # 5% of the no-abstention baseline (docs/robustness.md)
 robustness-smoke:
 	PYTHONPATH=src python -m repro.cli robustness --check
+
+# smoke tests of the end-to-end benchmark (benchmarks/e2e/README.md):
+# every workload at tiny sizes, timed and traced, held to the metric
+# names BENCHMARK.json declares; the traced run reads the training spans
+e2e-smoke:
+	PYTHONPATH=src python -m pytest -q benchmarks/e2e
 
 # toy 2-approach x 2-dataset sweep through the parallel orchestrator
 # (docs/orchestration.md): runs with jobs=2, then reruns serially to

@@ -34,14 +34,10 @@ class TransHSwap(UnifiedTransApproach):
 
     def _setup(self, pair, split, rng):
         super()._setup(pair, split, rng)
-        # swap the relation model: TransE -> TransH
+        # swap the relation model: TransE -> TransH (fit() builds the
+        # optimizer afterwards, over whatever _parameters() returns)
         self.model = TransH(
             self.data.n_entities, self.data.n_relations, self.config.dim, rng
-        )
-        from repro.autodiff import get_optimizer
-
-        self.optimizer = get_optimizer(
-            self.config.optimizer, self.model.parameters(), self.config.lr
         )
         self.sampler = TruncatedSampler(self.data.n_entities, truncation=0.25)
 

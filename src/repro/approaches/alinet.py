@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from ..autodiff import Highway, Module, Parameter, get_optimizer, sparse_matmul, xavier_init
+from ..autodiff import Highway, Module, Parameter, sparse_matmul, xavier_init
 from ..embedding import normalized_adjacency
 from .base import ApproachInfo
 from .gcn_family import GCNApproachBase
@@ -91,9 +91,6 @@ class AliNet(GCNApproachBase):
         row_sums = np.asarray(squared.sum(axis=1)).ravel()
         scaling = sparse.diags(1.0 / np.maximum(row_sums, 1e-12))
         return (scaling @ squared).tocsr()
-
-    def _parameters(self):
-        return [p for encoder, _ in self.encoders for p in encoder.parameters()]
 
 
 def _register() -> None:

@@ -5,6 +5,12 @@ subclass's ``_setup`` / ``_run_epoch``), an *alignment module* (distance
 metric + inference, provided here), and an *interaction mode* declared in
 each approach's :class:`ApproachInfo`.
 
+Every approach trains through the same step: ``fit`` builds one
+optimizer over ``_parameters()``, and each family's ``_run_epoch`` feeds
+batches from :meth:`EmbeddingApproach._minibatches` to
+:meth:`EmbeddingApproach._step`, which owns the ``forward`` /
+``backward`` / ``step`` spans and counts ``steps_run``.
+
 Training follows the common protocol of Table 4: fixed relation-triple
 batch size and early stopping when validation Hits@1 begins to drop
 (checked every ``valid_every`` epochs), restoring the best snapshot.
@@ -26,7 +32,9 @@ from ..alignment.evaluate import (
     calibrate_abstention,
     nil_aware_metrics,
 )
+from ..autodiff import get_optimizer
 from ..autodiff.sparse import SparseGrad
+from ..embedding import RelationModel
 from ..faults import fault_point
 from ..kg import AlignmentSplit, EntityIndex, KGPair
 from ..obs import get_registry, peak_rss_bytes, report_progress, span, \
@@ -235,12 +243,14 @@ class PairData:
 class EmbeddingApproach:
     """Template of an embedding-based entity alignment approach.
 
-    Subclasses implement ``_setup`` (build models from the pair + split)
-    and ``_run_epoch`` (one training pass returning the epoch loss), and
+    Subclasses implement ``_setup`` (build models from the pair + split),
+    ``_parameters`` (what the optimizer trains) and ``_run_epoch`` (one
+    training pass through :meth:`_step`, returning the epoch loss), and
     provide entity matrices via ``_source_matrix`` / ``_target_matrix``.
     """
 
     info: ApproachInfo
+    lr_scale = 1.0  # times config.lr; literal-initialized RDGCN refines gently
 
     def __init__(self, config: ApproachConfig | None = None):
         self.config = config or ApproachConfig()
@@ -258,12 +268,39 @@ class EmbeddingApproach:
         raise NotImplementedError
 
     def _parameters(self):
-        """All trainable parameters (used for best-snapshot restore)."""
+        """All trainable parameters: what the optimizer updates, the
+        best snapshot restores and checkpoints persist."""
         raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # the training step shared by every family
+    # ------------------------------------------------------------------
+    def _minibatches(self, rows: np.ndarray, batch_size: int,
+                     rng: np.random.Generator):
+        """One shuffled pass over ``rows`` in slices of ``batch_size``."""
+        order = rng.permutation(len(rows))
+        for start in range(0, len(rows), batch_size):
+            yield rows[order[start:start + batch_size]]
+
+    def _step(self, loss_fn, **attrs) -> float:
+        """One optimizer step on the loss ``loss_fn()`` builds.
+
+        Owns the ``forward`` / ``backward`` / ``step`` spans (``attrs``
+        label all three) and the ``steps_run`` count; returns the loss.
+        """
+        self.optimizer.zero_grad()
+        with span("forward", **attrs):
+            loss = loss_fn()
+        with span("backward", **attrs):
+            loss.backward()
+        with span("step", **attrs):
+            self.optimizer.step()
+        self.log.steps_run += 1
+        return float(loss.data)
 
     def _normalize_model(self) -> None:
         """Per-epoch entity renormalization for approaches with a
-        ``self.model`` relation model and ``self.optimizer``.
+        ``self.model`` relation model.
 
         With ``lazy_normalize`` only the entity rows the optimizer
         updated since the last epoch are projected back onto the unit
@@ -347,6 +384,14 @@ class EmbeddingApproach:
         with span("fit", approach=self.info.name, dataset=pair.name):
             with span("setup"):
                 self._setup(pair, split, rng)
+                self.optimizer = get_optimizer(
+                    config.optimizer, self._parameters(),
+                    config.lr * self.lr_scale)
+                # touched rows feed only a relation model's lazy
+                # renormalization; nothing else would ever consume them
+                self.optimizer.track_touched = (
+                    config.lazy_normalize
+                    and isinstance(getattr(self, "model", None), RelationModel))
 
             best_hits = -1.0
             best_state: list[np.ndarray] | None = None
@@ -357,7 +402,7 @@ class EmbeddingApproach:
             if resume_from is not None:
                 restored = TrainingCheckpointer(resume_from).try_restore(
                     self._parameters(),
-                    optimizer=getattr(self, "optimizer", None),
+                    optimizer=self.optimizer,
                     rng=rng,
                 )
             if restored is not None:
@@ -431,7 +476,7 @@ class EmbeddingApproach:
                             checkpointer.save(
                                 epoch=epoch,
                                 parameters=self._parameters(),
-                                optimizer=getattr(self, "optimizer", None),
+                                optimizer=self.optimizer,
                                 rng=rng,
                                 log=self.log,
                                 best_state=best_state,

@@ -112,14 +112,9 @@ def compose_approach(
 
         def _setup(self, pair, split, rng):
             super()._setup(pair, split, rng)
-            from ..autodiff import get_optimizer
-
             self.model = RELATION_MODELS[relation_model](
                 self.data.n_entities, self.data.n_relations,
                 self.config.dim, rng,
-            )
-            self.optimizer = get_optimizer(
-                self.config.optimizer, self.model.parameters(), self.config.lr
             )
             if negative_sampling == "truncated":
                 self.sampler = TruncatedSampler(self.data.n_entities)

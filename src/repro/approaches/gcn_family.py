@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Tensor, get_optimizer
+from ..autodiff import Tensor
 from ..embedding import GCNEncoder, normalized_adjacency
 from .base import ApproachInfo, EmbeddingApproach, PairData
 from .literals import name_vectors, value_word_vectors, vectors_to_matrix
@@ -26,19 +26,13 @@ class GCNApproachBase(EmbeddingApproach):
     n_layers = 2
     relation_aware = False
     steps_per_epoch = 10
-    lr_scale = 1.0  # literal-initialized variants refine gently
 
     def _setup(self, pair, split, rng):
-        config = self.config
         self.data = PairData(pair, split, merge_seeds=False)
         self.seeds = self.data.seed_id_pairs(split.train)
         edges, weights = self._edges(pair)
         self.adjacency = normalized_adjacency(self.data.n_entities, edges, weights)
         self.encoders = self._build_encoders(pair, rng)
-        parameters = [p for encoder, _ in self.encoders for p in encoder.parameters()]
-        self.optimizer = get_optimizer(
-            config.optimizer, parameters, config.lr * self.lr_scale
-        )
 
     def _edges(self, pair) -> tuple[np.ndarray, np.ndarray | None]:
         triples = self.data.triples
@@ -63,24 +57,23 @@ class GCNApproachBase(EmbeddingApproach):
     def _run_epoch(self, epoch, rng):
         if not len(self.seeds):
             return 0.0
-        config = self.config
         total = 0.0
         for _ in range(self.steps_per_epoch):
-            self.optimizer.zero_grad()
-            loss = Tensor(0.0)
-            for encoder, _ in self.encoders:
-                hidden = encoder()
-                e1 = hidden.gather(self.seeds[:, 0])
-                e2 = hidden.gather(self.seeds[:, 1])
-                positive = (e1 - e2).abs().sum(axis=1)
-                wrong = rng.integers(0, self.data.n_entities, size=len(self.seeds))
-                negative = (e1 - hidden.gather(wrong)).abs().sum(axis=1)
-                loss = loss + (positive - negative + config.margin).relu().mean()
-            loss.backward()
-            self.optimizer.step()
-            total += float(loss.data)
-        self.log.steps_run += self.steps_per_epoch
+            total += self._step(lambda: self._seed_loss(rng))
         return total / self.steps_per_epoch
+
+    def _seed_loss(self, rng) -> Tensor:
+        """Margin loss of the seed pairs against random wrong targets."""
+        loss = Tensor(0.0)
+        for encoder, _ in self.encoders:
+            hidden = encoder()
+            e1 = hidden.gather(self.seeds[:, 0])
+            e2 = hidden.gather(self.seeds[:, 1])
+            positive = (e1 - e2).abs().sum(axis=1)
+            wrong = rng.integers(0, self.data.n_entities, size=len(self.seeds))
+            negative = (e1 - hidden.gather(wrong)).abs().sum(axis=1)
+            loss = loss + (positive - negative + self.config.margin).relu().mean()
+        return loss
 
     input_blend = 0.0  # weight of the raw input features at inference
 

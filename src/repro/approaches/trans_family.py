@@ -13,7 +13,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from ..autodiff import Parameter, Tensor, get_optimizer
+from ..autodiff import Parameter, Tensor
 from ..obs import span
 from ..embedding import (
     TransE,
@@ -76,53 +76,43 @@ class MTransE(EmbeddingApproach):
         )
         self.transform = Parameter(np.eye(config.dim), name="mtranse.M")
         self.seeds = self.data.seed_id_pairs(split.train)
-        parameters = self.model.parameters() + [self.transform]
-        self.optimizer = get_optimizer(config.optimizer, parameters, config.lr)
-        self.optimizer.track_touched = config.lazy_normalize
 
     def _parameters(self):
         return self.model.parameters() + [self.transform]
 
     def _run_epoch(self, epoch, rng):
         config = self.config
-        triples = self.data.triples
-        order = rng.permutation(len(triples))
-        total = 0.0
-        batches = 0
-        for start in range(0, len(triples), config.batch_size):
-            batch = triples[order[start:start + config.batch_size]]
-            self.optimizer.zero_grad()
+        total, batches = 0.0, 0
+        for batch in self._minibatches(self.data.triples, config.batch_size, rng):
+            corrupted = None
             if self.negative_sampling:
                 with span("neg_sampling"):
                     corrupted = uniform_corrupt(
                         batch, self.data.n_entities, config.n_negatives, rng
                     )
-            with span("forward"):
-                positive = self.model.score(batch[:, 0], batch[:, 1], batch[:, 2])
-                if self.negative_sampling:
-                    negative = self.model.score(
-                        corrupted[:, 0], corrupted[:, 1], corrupted[:, 2]
-                    )
-                    if self.loss_name == "logistic":
-                        loss = logistic_loss(positive, negative)
-                    else:
-                        loss = margin_ranking_loss(
-                            positive,
-                            negative.reshape(len(batch), config.n_negatives).mean(axis=1),
-                            margin=config.margin,
-                        )
-                else:
-                    loss = (-positive).mean()  # positive-energy minimization only
-                loss = loss + self._alignment_loss()
-            with span("backward"):
-                loss.backward()
-            with span("step"):
-                self.optimizer.step()
-            total += float(loss.data)
+            total += self._step(lambda: self._batch_loss(batch, corrupted))
             batches += 1
-        self.log.steps_run += batches
         self._normalize_model()
         return total / max(batches, 1)
+
+    def _batch_loss(self, batch: np.ndarray, corrupted: np.ndarray | None) -> Tensor:
+        config = self.config
+        positive = self.model.score(batch[:, 0], batch[:, 1], batch[:, 2])
+        if corrupted is None:
+            loss = (-positive).mean()  # positive-energy minimization only
+        else:
+            negative = self.model.score(
+                corrupted[:, 0], corrupted[:, 1], corrupted[:, 2]
+            )
+            if self.loss_name == "logistic":
+                loss = logistic_loss(positive, negative)
+            else:
+                loss = margin_ranking_loss(
+                    positive,
+                    negative.reshape(len(batch), config.n_negatives).mean(axis=1),
+                    margin=config.margin,
+                )
+        return loss + self._alignment_loss()
 
     def _alignment_loss(self) -> Tensor:
         if not len(self.seeds):
@@ -176,9 +166,6 @@ class SEA(MTransE):
             np.where((degrees >= low) & (degrees < high))[0]
             for low, high in ((0, 3), (3, 8), (8, np.inf))
         ]
-        parameters = self._parameters()
-        self.optimizer = get_optimizer(self.config.optimizer, parameters, self.config.lr)
-        self.optimizer.track_touched = self.config.lazy_normalize
 
     def _parameters(self):
         return super()._parameters() + [self.back_transform]
@@ -230,10 +217,6 @@ class UnifiedTransApproach(EmbeddingApproach):
         self.model = TransE(
             self.data.n_entities, self.data.n_relations, config.dim, rng
         )
-        self.optimizer = get_optimizer(
-            config.optimizer, self.model.parameters(), config.lr
-        )
-        self.optimizer.track_touched = config.lazy_normalize
         self.seeds = self.data.seed_id_pairs(split.train)
         # augmented alignment proposed during semi-supervised training
         self.augmented: dict[int, int] = {}
@@ -291,31 +274,21 @@ class UnifiedTransApproach(EmbeddingApproach):
         return self.calibration_weight * (e1 - e2).square().sum(axis=1).mean()
 
     def _run_epoch(self, epoch, rng):
-        config = self.config
-        triples = self._train_triples()
-        order = rng.permutation(len(triples))
         total, batches = 0.0, 0
-        for start in range(0, len(triples), config.batch_size):
-            batch = triples[order[start:start + config.batch_size]]
+        for batch in self._minibatches(self._train_triples(),
+                                       self.config.batch_size, rng):
             with span("neg_sampling"):
                 corrupted = self._negatives(batch, rng)
-            self.optimizer.zero_grad()
-            with span("forward"):
-                positive = self.model.score(batch[:, 0], batch[:, 1], batch[:, 2])
-                negative = self.model.score(
-                    corrupted[:, 0], corrupted[:, 1], corrupted[:, 2]
-                )
-                loss = self._triple_loss(positive, negative) + self._calibration_loss()
-            with span("backward"):
-                loss.backward()
-            with span("step"):
-                self.optimizer.step()
-            total += float(loss.data)
+            total += self._step(lambda: self._batch_loss(batch, corrupted))
             batches += 1
-        self.log.steps_run += batches
         self._normalize_model()
         self._after_epoch(epoch, rng)
         return total / max(batches, 1)
+
+    def _batch_loss(self, batch: np.ndarray, corrupted: np.ndarray) -> Tensor:
+        positive = self.model.score(batch[:, 0], batch[:, 1], batch[:, 2])
+        negative = self.model.score(corrupted[:, 0], corrupted[:, 1], corrupted[:, 2])
+        return self._triple_loss(positive, negative) + self._calibration_loss()
 
     def _after_epoch(self, epoch, rng):
         """Semi-supervised hook; default no-op."""
@@ -445,19 +418,14 @@ class IPTransE(UnifiedTransApproach):
             sample = self._paths[
                 rng.choice(len(self._paths), size=min(512, len(self._paths)), replace=False)
             ]
-            self.optimizer.zero_grad()
-            with span("forward", phase="path"):
-                r1 = self.model.relations(sample[:, 0])
-                r2 = self.model.relations(sample[:, 1])
-                r3 = self.model.relations(sample[:, 2])
-                path_loss = ((r1 + r2) - r3).square().sum(axis=1).mean() * 0.3
-            with span("backward", phase="path"):
-                path_loss.backward()
-            with span("step", phase="path"):
-                self.optimizer.step()
-            self.log.steps_run += 1
-            loss += float(path_loss.data)
+            loss += self._step(lambda: self._path_loss(sample), phase="path")
         return loss
+
+    def _path_loss(self, sample: np.ndarray) -> Tensor:
+        r1 = self.model.relations(sample[:, 0])
+        r2 = self.model.relations(sample[:, 1])
+        r3 = self.model.relations(sample[:, 2])
+        return ((r1 + r2) - r3).square().sum(axis=1).mean() * 0.3
 
     def _after_epoch(self, epoch, rng):
         if self.augment_every and epoch % self.augment_every == 0:

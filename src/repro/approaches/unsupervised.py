@@ -21,9 +21,10 @@ from collections import defaultdict
 
 import numpy as np
 
-from ..autodiff import get_optimizer
+from ..autodiff import Tensor
 from ..embedding import TransE, margin_ranking_loss, uniform_corrupt
 from ..kg import EntityIndex, KnowledgeGraph
+from ..obs import span
 from .base import ApproachConfig, ApproachInfo, EmbeddingApproach
 
 __all__ = ["UnsupervisedProcrustes", "orthogonal_procrustes"]
@@ -57,34 +58,14 @@ class _SingleKGSpace:
             if triples else np.zeros((0, 3), dtype=np.int64)
         )
         self.model = TransE(len(self.index), len(relations), config.dim, rng)
-        self.optimizer = get_optimizer(
-            config.optimizer, self.model.parameters(), config.lr
-        )
-        self.config = config
 
-    def train_epoch(self, rng: np.random.Generator) -> float:
-        config = self.config
-        if not len(self.triples):
-            return 0.0
-        order = rng.permutation(len(self.triples))
-        total, batches = 0.0, 0
-        for start in range(0, len(self.triples), config.batch_size):
-            batch = self.triples[order[start:start + config.batch_size]]
-            corrupted = uniform_corrupt(
-                batch, len(self.index), config.n_negatives, rng
-            )
-            self.optimizer.zero_grad()
-            positive = self.model.score(batch[:, 0], batch[:, 1], batch[:, 2])
-            negative = self.model.score(
-                corrupted[:, 0], corrupted[:, 1], corrupted[:, 2]
-            ).reshape(len(batch), config.n_negatives).mean(axis=1)
-            loss = margin_ranking_loss(positive, negative, config.margin)
-            loss.backward()
-            self.optimizer.step()
-            total += float(loss.data)
-            batches += 1
-        self.model.normalize()
-        return total / max(batches, 1)
+    def loss(self, batch: np.ndarray, corrupted: np.ndarray,
+             margin: float) -> Tensor:
+        positive = self.model.score(batch[:, 0], batch[:, 1], batch[:, 2])
+        negative = self.model.score(
+            corrupted[:, 0], corrupted[:, 1], corrupted[:, 2]
+        ).reshape(len(batch), -1).mean(axis=1)
+        return margin_ranking_loss(positive, negative, margin)
 
     def embeddings(self, entities: list[str]) -> np.ndarray:
         ids = [self.index.id_of(e) for e in entities]
@@ -148,15 +129,36 @@ class UnsupervisedProcrustes(EmbeddingApproach):
         return seeds
 
     def _run_epoch(self, epoch, rng):
-        loss = self.space1.train_epoch(rng) + self.space2.train_epoch(rng)
-        return loss
+        return self._train_space(self.space1, rng) + self._train_space(self.space2, rng)
+
+    def _train_space(self, space: _SingleKGSpace, rng) -> float:
+        """One pass over one KG's triples.  Both spaces share the
+        optimizer: the idle space gets no gradient, so no step moves it."""
+        config = self.config
+        if not len(space.triples):
+            return 0.0
+        total, batches = 0.0, 0
+        for batch in self._minibatches(space.triples, config.batch_size, rng):
+            with span("neg_sampling"):
+                corrupted = uniform_corrupt(
+                    batch, len(space.index), config.n_negatives, rng
+                )
+            total += self._step(lambda: space.loss(batch, corrupted, config.margin))
+            batches += 1
+        with span("normalize"):
+            space.model.normalize()
+        return total / batches
 
     def _parameters(self):
         return self.space1.model.parameters() + self.space2.model.parameters()
 
-    def fit(self, pair, split):
-        """Unsupervised: the training seeds in ``split`` are never read."""
-        log = super().fit(pair, split)
+    def fit(self, pair, split, **kwargs):
+        """Unsupervised: the training seeds in ``split`` are never read.
+
+        Keyword arguments (checkpointing, resume, quality path) pass
+        through to :meth:`EmbeddingApproach.fit`.
+        """
+        log = super().fit(pair, split, **kwargs)
         self._solve_procrustes()
         for _ in range(self.refinement_rounds):
             self._refine()

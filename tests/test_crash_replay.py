@@ -22,6 +22,7 @@ from repro.approaches import (
     MTransE,
     TrainingCheckpointer,
 )
+from repro.autodiff import SGD, Adam, Parameter
 from repro.datagen import benchmark_pair
 from repro.faults import InjectedFault
 from repro.obs.ledger import RunLedger
@@ -237,3 +238,52 @@ def test_checkpointing_changes_nothing_about_training(tiny, uninterrupted,
     approach, log = _fit_checkpointed(pair, split, tmp_path)
     assert log.status == "completed"
     _assert_equivalent(approach, uninterrupted, split)
+
+
+# ------------------------------------------ optimizer state in checkpoints
+def _train_steps(parameters, optimizer, steps, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        optimizer.zero_grad()
+        for parameter in parameters:
+            parameter.grad = rng.normal(size=parameter.shape)
+        optimizer.step()
+
+
+def test_checkpoint_keeps_sgd_momentum_state_bit_for_bit(tmp_path):
+    """The ``last_step`` key survives the ``opt_{i}_{key}`` npz encoding:
+    its underscore must not be read as the index separator."""
+    params = [Parameter(np.ones((4, 2)))]
+    optimizer = SGD(params, lr=0.1, momentum=0.9)
+    _train_steps(params, optimizer, steps=2, seed=3)
+    TrainingCheckpointer(tmp_path).save(epoch=2, parameters=params,
+                                        optimizer=optimizer)
+
+    fresh = [Parameter(np.zeros((4, 2)))]
+    fresh_optimizer = SGD(fresh, lr=0.1, momentum=0.9)
+    TrainingCheckpointer(tmp_path).restore(fresh, optimizer=fresh_optimizer)
+    original = optimizer.state_dict()["state"][0]
+    restored = fresh_optimizer.state_dict()["state"][0]
+    assert set(restored) == set(original) == {"velocity", "last_step", "step"}
+    for key in original:
+        np.testing.assert_array_equal(restored[key], original[key])
+    np.testing.assert_array_equal(fresh[0].data, params[0].data)
+
+
+def test_checkpoint_resumes_adam_exactly(tmp_path):
+    rng = np.random.default_rng(5)
+    params = [Parameter(rng.normal(size=(6, 4)), name="entities"),
+              Parameter(rng.normal(size=(3, 4)), name="relations")]
+    optimizer = Adam(params, lr=0.05)
+    _train_steps(params, optimizer, steps=4, seed=1)
+    TrainingCheckpointer(tmp_path).save(epoch=4, parameters=params,
+                                        optimizer=optimizer)
+    _train_steps(params, optimizer, steps=3, seed=2)
+
+    fresh = [Parameter(np.zeros((6, 4))), Parameter(np.zeros((3, 4)))]
+    fresh_optimizer = Adam(fresh, lr=0.9)  # wrong on purpose: restored
+    TrainingCheckpointer(tmp_path).restore(fresh, optimizer=fresh_optimizer)
+    assert fresh_optimizer.lr == 0.05
+    _train_steps(fresh, fresh_optimizer, steps=3, seed=2)
+    for got, expected in zip(fresh, params):
+        np.testing.assert_array_equal(got.data, expected.data)

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.alignment import HyperplaneLSH, blocked_greedy_alignment, greedy_alignment
-from repro.approaches import ApproachConfig, UnsupervisedProcrustes, orthogonal_procrustes
+from repro.approaches import (
+    ApproachConfig,
+    TrainingCheckpointer,
+    UnsupervisedProcrustes,
+    orthogonal_procrustes,
+)
+from repro.pipeline import cross_validate
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +83,20 @@ def test_unsupervised_rotation_is_orthogonal(enfr_pair, enfr_split):
     approach.fit(enfr_pair, enfr_split)
     rotation = approach.rotation
     np.testing.assert_allclose(rotation @ rotation.T, np.eye(16), atol=1e-8)
+
+
+def test_unsupervised_cross_validates_with_checkpoints(enfr_pair, tmp_path):
+    """fit's keyword arguments (checkpointing, resume) reach the base
+    trainer, and both KG spaces step through the one optimizer."""
+    config = ApproachConfig(dim=16, epochs=2, valid_every=0)
+    result = cross_validate(
+        lambda: UnsupervisedProcrustes(config, refinement_rounds=0),
+        enfr_pair, n_folds=1, checkpoint_dir=tmp_path,
+    )
+    assert result.status == "completed"
+    log = result.folds[0].log
+    assert log.epochs_run == 2 and log.steps_run > 0
+    assert TrainingCheckpointer(tmp_path / "fold_1").latest_epoch() == 2
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import cli, obs
-from repro.approaches import ApproachConfig
+from repro.approaches import ApproachConfig, UnsupervisedProcrustes, get_approach
 from repro.approaches.trans_family import MTransE
 from repro.autodiff.tensor import Tensor
 from repro.obs.opprof import _FUNCTION_KINDS, _METHOD_KINDS
@@ -21,14 +21,24 @@ from repro.pipeline import cross_validate
 from repro.serve.metrics import LatencyHistogram, ServingMetrics
 
 
+# one approach per training family
+FAMILIES = ["MTransE", "BootEA", "GCNAlign", "RSN4EA", "MultiKE", "RDGCN",
+            "UnsupervisedProcrustes"]
+
+
 @pytest.fixture
-def traced_fit(enfr_pair):
-    """A 2-epoch MTransE fit under full instrumentation."""
+def traced_fit(request, enfr_pair):
+    """A 2-epoch fit under full instrumentation: MTransE with negative
+    sampling, or the family representative a test parametrizes."""
+    name = getattr(request, "param", "MTransE")
     split = enfr_pair.split(train_ratio=0.3, valid_ratio=0.1, seed=0)
-    approach = MTransE(
-        ApproachConfig(dim=64, epochs=2, batch_size=512, valid_every=1),
-        negative_sampling=True,
-    )
+    config = ApproachConfig(dim=64, epochs=2, batch_size=512, valid_every=1)
+    if name == "MTransE":
+        approach = MTransE(config, negative_sampling=True)
+    elif name == "UnsupervisedProcrustes":
+        approach = UnsupervisedProcrustes(config)
+    else:
+        approach = get_approach(name, config)
     with obs.capture(profile_ops=True) as cap:
         log = approach.fit(enfr_pair, split)
     return cap, log
@@ -65,6 +75,24 @@ class TestInstrumentedTraining:
                         if e.get("parent_id") == epoch_event["id"]]
             assert sum(c["dur_s"] for c in children) <= epoch_event["dur_s"] + 1e-6
 
+    @pytest.mark.parametrize("traced_fit", FAMILIES, indirect=True)
+    def test_every_family_steps_inside_epochs(self, traced_fit):
+        """Every family trains through the one shared step: its
+        forward/backward/step spans sit directly under ``epoch``, and
+        their count is both ``steps_run`` and the profiled optimizer
+        steps."""
+        cap, log = traced_fit
+        ids = {e["id"]: e for e in cap.events}
+        counts = {"forward": 0, "backward": 0, "step": 0}
+        for event in cap.events:
+            if event["name"] in counts:
+                counts[event["name"]] += 1
+                assert ids[event["parent_id"]]["name"] == "epoch"
+        assert counts["step"] > 0
+        assert counts["forward"] == counts["backward"] == counts["step"]
+        assert counts["step"] == log.steps_run
+        assert counts["step"] == cap.profiler.stats["optimizer.step"].count
+
     def test_epoch_loss_attrs_match_log(self, traced_fit):
         cap, log = traced_fit
         epoch_losses = [e["attrs"]["loss"] for e in cap.events
@@ -80,7 +108,8 @@ class TestInstrumentedTraining:
 
     def test_op_attribution_covers_hot_loop(self, traced_fit):
         """Acceptance: op-level attribution sums to >=90% of the traced
-        wall time of the hot-loop spans (forward/backward/step)."""
+        wall time of the hot-loop spans (forward/backward/step); held on
+        MTransE, whose hot loop runs only profiled ops."""
         cap, _ = traced_fit
         hot_wall = sum(e["dur_s"] for e in cap.events
                        if e["name"] in ("forward", "backward", "step"))

@@ -1,4 +1,5 @@
-"""Tests for embedding snapshots (save/load trained embeddings)."""
+"""Tests for embedding snapshots (save/load trained embeddings) and for
+training-state checkpoints (parameters plus optimizer state)."""
 
 import numpy as np
 import pytest
@@ -65,88 +66,24 @@ def test_snapshot_validates_shapes():
         EmbeddingSnapshot(["a"], np.zeros((1, 3)), ["b", "c"], np.zeros((1, 3)))
 
 
-# ---------------------------------------------------------------------------
-# training-state checkpoints (parameters + optimizer state)
-# ---------------------------------------------------------------------------
-def _train_steps(parameters, optimizer, steps, seed=0):
-    rng = np.random.default_rng(seed)
-    for _ in range(steps):
-        optimizer.zero_grad()
-        for p in parameters:
-            p.grad = rng.normal(size=p.shape)
-        optimizer.step()
-
-
-def test_training_state_roundtrip_resumes_exactly(tmp_path):
-    from repro.autodiff import Adam, Parameter
-    from repro.pipeline import load_training_state, save_training_state
-
-    rng = np.random.default_rng(5)
-    params = [Parameter(rng.normal(size=(6, 4)), name="entities"),
-              Parameter(rng.normal(size=(3, 4)), name="relations")]
-    optimizer = Adam(params, lr=0.05)
-    _train_steps(params, optimizer, steps=4, seed=1)
-
-    path = tmp_path / "train_state.npz"
-    save_training_state(path, params, optimizer)
-    _train_steps(params, optimizer, steps=3, seed=2)
-    reference = [p.data.copy() for p in params]
-
-    fresh = [Parameter(np.zeros((6, 4)), name="entities"),
-             Parameter(np.zeros((3, 4)), name="relations")]
-    fresh_opt = Adam(fresh, lr=0.9)  # lr deliberately wrong; restored from file
-    load_training_state(path, fresh, fresh_opt)
-    assert fresh_opt.lr == pytest.approx(0.05)
-    _train_steps(fresh, fresh_opt, steps=3, seed=2)
-
-    for restored, expected in zip(fresh, reference):
-        np.testing.assert_allclose(restored.data, expected, atol=1e-12)
-
-
-def test_training_state_roundtrips_momentum_underscore_keys(tmp_path):
-    """SGD momentum state includes a ``last_step`` key whose underscore
-    must survive the npz key encoding."""
-    from repro.autodiff import SGD, Parameter
-    from repro.pipeline import load_training_state, save_training_state
-
-    params = [Parameter(np.ones((4, 2)))]
-    optimizer = SGD(params, lr=0.1, momentum=0.9)
-    _train_steps(params, optimizer, steps=2, seed=3)
-
-    path = tmp_path / "sgd_state.npz"
-    save_training_state(path, params, optimizer)
-
-    fresh = [Parameter(np.ones((4, 2)))]
-    fresh_opt = SGD(fresh, lr=0.1, momentum=0.9)
-    load_training_state(path, fresh, fresh_opt)
-    restored = fresh_opt.state_dict()["state"][0]
-    original = optimizer.state_dict()["state"][0]
-    assert set(restored) == set(original)
-    for key in original:
-        np.testing.assert_allclose(np.asarray(restored[key]),
-                                   np.asarray(original[key]), atol=1e-12)
-
-
 def test_training_state_validates_parameter_count_and_shape(tmp_path):
+    from repro.approaches import CheckpointCorruption, TrainingCheckpointer
     from repro.autodiff import Parameter
-    from repro.pipeline import load_training_state, save_training_state
 
-    params = [Parameter(np.ones((3, 2)))]
-    path = tmp_path / "bad.npz"
-    save_training_state(path, params)
-    with pytest.raises(ValueError):
-        load_training_state(path, [])
-    with pytest.raises(ValueError):
-        load_training_state(path, [Parameter(np.ones((2, 2)))])
+    checkpointer = TrainingCheckpointer(tmp_path)
+    checkpointer.save(epoch=1, parameters=[Parameter(np.ones((3, 2)))])
+    with pytest.raises(CheckpointCorruption, match="holds 1 parameters"):
+        checkpointer.restore([])
+    with pytest.raises(CheckpointCorruption, match="shape mismatch"):
+        checkpointer.restore([Parameter(np.ones((2, 2)))])
 
 
 def test_training_state_without_optimizer(tmp_path):
+    from repro.approaches import TrainingCheckpointer
     from repro.autodiff import Parameter
-    from repro.pipeline import load_training_state, save_training_state
 
     params = [Parameter(np.arange(6.0).reshape(3, 2))]
-    path = tmp_path / "params_only.npz"
-    save_training_state(path, params)
+    TrainingCheckpointer(tmp_path).save(epoch=1, parameters=params)
     fresh = [Parameter(np.zeros((3, 2)))]
-    load_training_state(path, fresh)
-    np.testing.assert_allclose(fresh[0].data, params[0].data)
+    TrainingCheckpointer(tmp_path).restore(fresh)
+    np.testing.assert_array_equal(fresh[0].data, params[0].data)

@@ -71,13 +71,13 @@ perf-gate-smoke:
 # model-quality smoke: a deliberately diverging run must be aborted by
 # the sentinel, a probed 2-fold CV must record per-epoch quality curves,
 # and the conformance report must print against the checked-in paper
-# tables; then the fast pytest covering probes, sentinels, conformance
-# exit codes and the injected-Hits@1-drop gate (docs/observability.md)
+# tables (docs/observability.md); the pytest covering probes, sentinels,
+# conformance exit codes and the injected-Hits@1-drop gate,
+# tests/test_quality_smoke.py, runs with the tier-1 suite
 quality-smoke:
 	rm -rf benchmarks/reports/quality_smoke
 	REPRO_LEDGER_PATH=benchmarks/reports/ledger.jsonl PYTHONPATH=src \
 		python -m repro.cli quality-smoke --out benchmarks/reports/quality_smoke
-	PYTHONPATH=src python -m pytest -q tests/test_quality_smoke.py
 
 # crash-replay suite: injected kills/torn writes at every persistence
 # site, then resume, asserting bit-identical training (docs/robustness.md)

@@ -31,6 +31,7 @@ class TransHSwap(UnifiedTransApproach):
     merge_seeds = True
     swapping = True
     calibration_weight = 0.5
+    refresh_every = 5  # epochs between refreshes of the hard negatives
 
     def _setup(self, pair, split, rng):
         super()._setup(pair, split, rng)
@@ -40,13 +41,6 @@ class TransHSwap(UnifiedTransApproach):
             self.data.n_entities, self.data.n_relations, self.config.dim, rng
         )
         self.sampler = TruncatedSampler(self.data.n_entities, truncation=0.25)
-
-    def _negatives(self, batch, rng):
-        return self.sampler.corrupt(batch, self.config.n_negatives, rng)
-
-    def _after_epoch(self, epoch, rng):
-        if epoch % 5 == 0:
-            self.sampler.refresh(self.model.entity_embeddings())
 
 
 def main() -> None:

@@ -21,6 +21,7 @@ from .inference import (
     heuristic_matching,
     hungarian_alignment,
     infer_alignment,
+    mutual_nearest,
     stable_marriage,
 )
 from .metrics import (
@@ -38,7 +39,7 @@ __all__ = [
     "similarity_matrix", "csls", "METRICS", "top_scores",
     "greedy_alignment", "stable_marriage", "hungarian_alignment",
     "heuristic_matching", "infer_alignment", "INFERENCE_STRATEGIES",
-    "apply_abstention",
+    "apply_abstention", "mutual_nearest",
     "rank_metrics", "RankMetrics", "prf_metrics", "PRF",
     "sample_candidate_indices", "sampled_rank_metrics",
     "DanglingMetrics", "nil_aware_metrics", "calibrate_abstention",

@@ -26,6 +26,7 @@ __all__ = [
     "stable_marriage",
     "hungarian_alignment",
     "heuristic_matching",
+    "mutual_nearest",
     "apply_abstention",
     "INFERENCE_STRATEGIES",
     "infer_alignment",
@@ -142,6 +143,29 @@ def heuristic_matching(similarity: np.ndarray) -> np.ndarray:
         result[i] = j
         taken[j] = True
     return result
+
+
+def mutual_nearest(
+    similarity: np.ndarray,
+    threshold: float | None = None,
+    mutual: bool = True,
+) -> list[tuple[int, int]]:
+    """``(row, column)`` pairs of each row's nearest column.
+
+    A pair is kept when its similarity reaches ``threshold`` (if given)
+    and, with ``mutual``, when the row is also its column's nearest row
+    — the proposal rule of self-training (BootEA, KDCoE) and of MUSE-style
+    Procrustes refinement.
+    """
+    if similarity.size == 0:
+        return []
+    best_for_row = similarity.argmax(axis=1)
+    best_for_column = similarity.argmax(axis=0) if mutual else None
+    return [
+        (i, int(j)) for i, j in enumerate(best_for_row)
+        if (threshold is None or similarity[i, j] >= threshold)
+        and (not mutual or best_for_column[j] == i)
+    ]
 
 
 def hungarian_alignment(similarity: np.ndarray) -> np.ndarray:

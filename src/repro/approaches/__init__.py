@@ -11,11 +11,7 @@ from .base import (
     PairData,
     TrainingLog,
 )
-from .checkpointing import (
-    CheckpointCorruption,
-    TrainingCheckpointer,
-    TrainingInterrupted,
-)
+from .checkpointing import CheckpointCorruption, TrainingCheckpointer
 from .gcn_family import GCNAlign, RDGCN
 from .literals import (
     char_vectors,
@@ -38,7 +34,7 @@ from .unsupervised import UnsupervisedProcrustes, orthogonal_procrustes
 __all__ = [
     "ApproachConfig", "ApproachInfo", "EmbeddingApproach", "PairData",
     "TrainingLog", "AugmentationRecord",
-    "TrainingCheckpointer", "TrainingInterrupted", "CheckpointCorruption",
+    "TrainingCheckpointer", "CheckpointCorruption",
     "MTransE", "IPTransE", "JAPE", "KDCoE", "BootEA", "GCNAlign",
     "AttrE", "IMUSE", "SEA", "RSN4EA", "MultiKE", "RDGCN",
     "UnifiedTransApproach",

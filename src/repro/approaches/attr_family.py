@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..alignment import cosine_similarity
 from ..embedding.attribute import AC2Vec
 from ..text import string_similarity
 from .base import ApproachConfig, ApproachInfo
@@ -321,8 +322,10 @@ class KDCoE(LiteralBlendApproach):
     def __init__(self, config: ApproachConfig | None = None,
                  cotrain_every: int = 10, threshold: float = 0.85):
         super().__init__(config)
-        self.cotrain_every = cotrain_every
-        self.threshold = threshold
+        # co-training needs the description channel
+        self.self_train_every = (cotrain_every if self.config.use_attributes
+                                 else 0)
+        self.self_train_threshold = threshold
 
     desc_pull_weight = 0.2
 
@@ -338,39 +341,20 @@ class KDCoE(LiteralBlendApproach):
         # the cross-lingually anchored description space pulls the two KGs
         # together for the entities that have a description.
         self._register_pull(self.desc1, self.desc2, self.desc_pull_weight)
-        self._proposed: list[tuple[str, str]] = []
 
-    def _after_epoch(self, epoch, rng):
-        if not self.config.use_attributes:
-            return
-        if self.cotrain_every and epoch % self.cotrain_every == 0:
-            iteration = epoch // self.cotrain_every
-            if iteration % 2 == 1:
-                proposals = self._propose_from_descriptions()
-            else:
-                proposals = self._propose_pairs(self.threshold, mutual=True)
-            for a, b in proposals:
-                self.augmented[self.data.entity_id(a)] = self.data.entity_id(b)
-            self._proposed = sorted(set(self._proposed) | set(proposals))
-            self._record_augmentation(iteration, self._proposed)
-
-    def _propose_from_descriptions(self) -> list[tuple[str, str]]:
-        """Mutual nearest neighbors in description space (described only)."""
+    def _proposal_space(self, iteration):
+        """Odd rounds propose in description space, among described
+        entities only; even rounds in the structural space."""
+        if iteration % 2 == 0:
+            return super()._proposal_space(iteration)
         pool1, pool2 = self._unaligned_candidates()
         pool1 = [e for e in pool1 if e in self.desc1]
         pool2 = [e for e in pool2 if e in self.desc2]
-        if not pool1 or not pool2:
-            return []
-        m1 = _normalize_rows(vectors_to_matrix(self.desc1, pool1, self.config.dim))
-        m2 = _normalize_rows(vectors_to_matrix(self.desc2, pool2, self.config.dim))
-        similarity = m1 @ m2.T
-        best1 = similarity.argmax(axis=1)
-        best2 = similarity.argmax(axis=0)
-        return [
-            (pool1[i], pool2[int(j)])
-            for i, j in enumerate(best1)
-            if similarity[i, j] >= self.threshold and best2[j] == i
-        ]
+        dim = self.config.dim
+        return pool1, pool2, cosine_similarity(
+            vectors_to_matrix(self.desc1, pool1, dim),
+            vectors_to_matrix(self.desc2, pool2, dim),
+        )
 
 
 class MultiKE(LiteralBlendApproach):

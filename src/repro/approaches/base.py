@@ -34,7 +34,6 @@ from ..alignment.evaluate import (
 )
 from ..autodiff import get_optimizer
 from ..autodiff.sparse import SparseGrad
-from ..embedding import RelationModel
 from ..faults import fault_point
 from ..kg import AlignmentSplit, EntityIndex, KGPair
 from ..obs import get_registry, peak_rss_bytes, report_progress, span, \
@@ -73,10 +72,6 @@ class ApproachConfig:
     patience: int = 2  # consecutive non-improving checks before stopping
     use_attributes: bool = True
     use_relations: bool = True
-    # With the sparse gradient path, per-epoch normalization can be
-    # restricted to the rows actually updated this epoch (O(touched)
-    # instead of O(|E|)); off by default to preserve the paper protocol.
-    lazy_normalize: bool = False
     # Streaming quality probes (docs/observability.md): every
     # ``probe_every`` epochs fit() scores Hits@1/5/10 + MRR on a sampled
     # validation subset plus embedding/gradient health; 0 disables.
@@ -300,18 +295,9 @@ class EmbeddingApproach:
 
     def _normalize_model(self) -> None:
         """Per-epoch entity renormalization for approaches with a
-        ``self.model`` relation model.
-
-        With ``lazy_normalize`` only the entity rows the optimizer
-        updated since the last epoch are projected back onto the unit
-        sphere — O(touched) instead of O(|E|) on the sparse path.
-        """
+        ``self.model`` relation model."""
         with span("normalize"):
-            if self.config.lazy_normalize:
-                rows = self.optimizer.consume_touched(self.model.entities.table)
-                self.model.normalize(rows=rows)
-            else:
-                self.model.normalize()
+            self.model.normalize()
 
     def _source_matrix(self, entities: list[str]) -> np.ndarray:
         """Embeddings of KG1 entities, mapped into the comparison space."""
@@ -387,11 +373,6 @@ class EmbeddingApproach:
                 self.optimizer = get_optimizer(
                     config.optimizer, self._parameters(),
                     config.lr * self.lr_scale)
-                # touched rows feed only a relation model's lazy
-                # renormalization; nothing else would ever consume them
-                self.optimizer.track_touched = (
-                    config.lazy_normalize
-                    and isinstance(getattr(self, "model", None), RelationModel))
 
             best_hits = -1.0
             best_state: list[np.ndarray] | None = None

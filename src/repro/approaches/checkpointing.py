@@ -43,7 +43,6 @@ from ..faults import atomic_write_json, atomic_write_with, fault_point, sha256_f
 
 __all__ = [
     "CheckpointCorruption",
-    "TrainingInterrupted",
     "TrainingCheckpointer",
     "CheckpointSignalHandler",
 ]
@@ -54,15 +53,6 @@ _SCHEMA = 1
 
 class CheckpointCorruption(RuntimeError):
     """A checkpoint exists but fails validation (torn file, bad hash)."""
-
-
-class TrainingInterrupted(RuntimeError):
-    """Training stopped early at a safe boundary (signal or injected
-    fault) after writing a resumable checkpoint."""
-
-    def __init__(self, message: str, checkpoint_dir: Path | None = None):
-        super().__init__(message)
-        self.checkpoint_dir = checkpoint_dir
 
 
 class TrainingCheckpointer:

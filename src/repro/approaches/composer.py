@@ -18,8 +18,9 @@ Axes and options
 * ``attribute_channel`` — ``None``, ``"word"`` (IDF-weighted word
   vectors), ``"char"`` (character-level, AttrE-style), ``"name"``
   (label-like literals) or ``"correlation"`` (AC2Vec);
-* ``self_training`` — augment the seeds from mutual nearest neighbors
-  every few epochs (BootEA-style editing included).
+* ``self_training`` — every ``self_training_every`` epochs, add the
+  mutual nearest neighbors above 0.7 cosine to the augmented alignment;
+  proposals accumulate without editing (IPTransE-style, but mutual).
 
 Example
 -------
@@ -99,7 +100,6 @@ def compose_approach(
 
     channel = attribute_channel
     weight = attribute_weight
-    train_every = self_training_every
 
     class ComposedApproach(LiteralBlendApproach):
         """An approach assembled by :func:`compose_approach`."""
@@ -109,6 +109,8 @@ def compose_approach(
         calibration_weight = 1.0 if combination == "calibration" else 0.0
         loss_name = loss
         structure_weight = 1.0 - (weight if channel else 0.0)
+        refresh_every = 5 if negative_sampling == "truncated" else 0
+        self_train_every = self_training_every if self_training else 0
 
         def _setup(self, pair, split, rng):
             super()._setup(pair, split, rng)
@@ -118,13 +120,6 @@ def compose_approach(
             )
             if negative_sampling == "truncated":
                 self.sampler = TruncatedSampler(self.data.n_entities)
-            else:
-                self.sampler = None
-
-        def _negatives(self, batch, rng):
-            if self.sampler is not None:
-                return self.sampler.corrupt(batch, self.config.n_negatives, rng)
-            return super()._negatives(batch, rng)
 
         def _build_channels(self, pair, rng) -> None:
             if channel is None:
@@ -146,17 +141,6 @@ def compose_approach(
                 self.channels = [(weight, c[1], c[2]) for c in self.channels]
                 return
             self.channels = [(weight, vecs1, vecs2)]
-
-        def _after_epoch(self, epoch, rng):
-            if self.sampler is not None and epoch % 5 == 0:
-                self.sampler.refresh(self.model.entity_embeddings())
-            if self_training and train_every and epoch % train_every == 0:
-                proposals = self._propose_pairs(0.7, mutual=True)
-                for a, b in proposals:
-                    self.augmented[self.data.entity_id(a)] = self.data.entity_id(b)
-                if self.swapping:
-                    self._swapped = self._make_swapped()
-                self._record_augmentation(epoch // train_every, proposals)
 
     ComposedApproach.info = info
     ComposedApproach.__name__ = f"Composed_{display_name.replace('+', '_').replace(':', '_')}"

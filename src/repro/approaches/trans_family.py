@@ -13,6 +13,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from ..alignment import mutual_nearest
 from ..autodiff import Parameter, Tensor
 from ..obs import span
 from ..embedding import (
@@ -202,14 +203,26 @@ class SEA(MTransE):
 class UnifiedTransApproach(EmbeddingApproach):
     """Shared machinery: one TransE-style space over both KGs.
 
-    Subclasses toggle seed merging (parameter sharing), triple swapping,
-    the loss function and semi-supervised augmentation hooks.
+    Subclasses toggle seed merging (parameter sharing), triple swapping
+    and the loss function, and configure the epoch end by values: hard
+    negatives from ``self.sampler`` (set in ``_setup``) are refreshed
+    every ``refresh_every`` epochs, and every ``self_train_every`` epochs
+    one self-training round proposes pairs from the unaligned pool
+    (:meth:`_proposal_space`) by :func:`~repro.alignment.mutual_nearest`,
+    then either accumulates them or, with ``self_train_edit``, edits the
+    proposed alignment BootEA-style.
     """
 
     merge_seeds = True
     swapping = False
     loss_name = "marginal"
     calibration_weight = 0.0
+    sampler: TruncatedSampler | None = None
+    refresh_every = 0
+    self_train_every = 0
+    self_train_threshold = 0.7
+    self_train_mutual = True
+    self_train_edit = False
 
     def _setup(self, pair, split, rng):
         config = self.config
@@ -218,8 +231,10 @@ class UnifiedTransApproach(EmbeddingApproach):
             self.data.n_entities, self.data.n_relations, config.dim, rng
         )
         self.seeds = self.data.seed_id_pairs(split.train)
-        # augmented alignment proposed during semi-supervised training
+        # alignment proposed during self-training: entity ids for the
+        # losses and swapping, entity names for the Figure 7 records
         self.augmented: dict[int, int] = {}
+        self._proposed: list[tuple[str, str]] = []
         self._swapped = self._make_swapped() if self.swapping else None
 
     def _parameters(self):
@@ -253,6 +268,8 @@ class UnifiedTransApproach(EmbeddingApproach):
 
     # -- loss ----------------------------------------------------------
     def _negatives(self, batch: np.ndarray, rng) -> np.ndarray:
+        if self.sampler is not None:
+            return self.sampler.corrupt(batch, self.config.n_negatives, rng)
         return uniform_corrupt(
             batch, self.data.n_entities, self.config.n_negatives, rng
         )
@@ -282,7 +299,7 @@ class UnifiedTransApproach(EmbeddingApproach):
             total += self._step(lambda: self._batch_loss(batch, corrupted))
             batches += 1
         self._normalize_model()
-        self._after_epoch(epoch, rng)
+        self._after_epoch(epoch)
         return total / max(batches, 1)
 
     def _batch_loss(self, batch: np.ndarray, corrupted: np.ndarray) -> Tensor:
@@ -290,19 +307,86 @@ class UnifiedTransApproach(EmbeddingApproach):
         negative = self.model.score(corrupted[:, 0], corrupted[:, 1], corrupted[:, 2])
         return self._triple_loss(positive, negative) + self._calibration_loss()
 
-    def _after_epoch(self, epoch, rng):
-        """Semi-supervised hook; default no-op."""
+    # -- epoch end: hard negatives and self-training -------------------
+    def _after_epoch(self, epoch: int) -> None:
+        if self.refresh_every and epoch % self.refresh_every == 0:
+            with span("sampler_refresh", epoch=epoch):
+                self.sampler.refresh(self.model.entity_embeddings())
+        if self.self_train_every and epoch % self.self_train_every == 0:
+            with span("bootstrap", epoch=epoch):
+                self._self_train(epoch // self.self_train_every)
+
+    def _self_train(self, iteration: int) -> None:
+        """One round: propose from the pool, accumulate or edit, rebuild
+        the swapped triples and record the proposed alignment."""
+        pool1, pool2, similarity = self._proposal_space(iteration)
+        proposals = [
+            (pool1[i], pool2[j]) for i, j in mutual_nearest(
+                similarity, self.self_train_threshold, self.self_train_mutual)
+        ]
+        if self.self_train_edit:
+            self._proposed = self._edit(proposals)
+            self.augmented = {
+                self.data.entity_id(a): self.data.entity_id(b)
+                for a, b in self._proposed
+            }
+        else:
+            # no editing: earlier (possibly wrong) proposals stay
+            for a, b in proposals:
+                self.augmented[self.data.entity_id(a)] = self.data.entity_id(b)
+            self._proposed = sorted(set(self._proposed) | set(proposals))
+        if self.swapping:
+            self._swapped = self._make_swapped()
+        self._record_augmentation(iteration, self._proposed)
+
+    def _proposal_space(
+        self, iteration: int
+    ) -> tuple[list[str], list[str], np.ndarray]:
+        """Round ``iteration``'s candidate pools and their similarity:
+        cosine in the alignment space."""
+        pool1, pool2 = self._unaligned_candidates()
+        return pool1, pool2, self.similarity_between(pool1, pool2, metric="cosine")
+
+    def _edit(self, proposals: list[tuple[str, str]]) -> list[tuple[str, str]]:
+        """Alignment editing: a source keeps only its newest mutual match,
+        and many-to-one conflicts keep the most similar source."""
+        names = dict(self._proposed)
+        for a, b in proposals:
+            names[a] = b
+        edited: dict[str, str] = {}
+        if names:
+            sources = list(names)
+            targets = [names[s] for s in sources]
+            similarity = self.similarity_between(sources, targets, metric="cosine")
+            scores = similarity[np.arange(len(sources)), np.arange(len(sources))]
+            for source, target, score in sorted(
+                zip(sources, targets, scores), key=lambda x: -x[2]
+            ):
+                if target not in edited.values() and source not in edited:
+                    edited[source] = target
+        return list(edited.items())
 
     # -- crash-safe resume (docs/robustness.md) ------------------------
     def _extra_state(self):
-        return {"augmented": [[int(a), int(b)]
-                              for a, b in self.augmented.items()]}
+        return {
+            "augmented": [[int(a), int(b)] for a, b in self.augmented.items()],
+            "proposed": [[a, b] for a, b in self._proposed],
+            "sampler_refreshed": self.sampler is not None and self.sampler.ready,
+        }
 
     def _load_extra_state(self, state):
         self.augmented = {int(a): int(b)
                           for a, b in state.get("augmented", [])}
+        self._proposed = [(a, b) for a, b in state.get("proposed", [])]
         if self.swapping:
             self._swapped = self._make_swapped()
+        # Best-effort: the truncated sampler's neighbor cache is rebuilt
+        # from the restored embeddings, which equal the ones it was built
+        # from only when the checkpoint fell on a refresh epoch; otherwise
+        # the resume is equivalent in expectation, not bit-for-bit — see
+        # docs/robustness.md.
+        if state.get("sampler_refreshed"):
+            self.sampler.refresh(self.model.entity_embeddings())
 
     # -- embeddings ----------------------------------------------------
     def _source_matrix(self, entities):
@@ -318,25 +402,6 @@ class UnifiedTransApproach(EmbeddingApproach):
         pool1 = [a for a, _ in self.pair.alignment if a not in trained1]
         pool2 = [b for _, b in self.pair.alignment if b not in trained2]
         return pool1, pool2
-
-    def _propose_pairs(
-        self, threshold: float, mutual: bool
-    ) -> list[tuple[str, str]]:
-        """Nearest-neighbor alignment proposals above ``threshold``."""
-        pool1, pool2 = self._unaligned_candidates()
-        if not pool1 or not pool2:
-            return []
-        similarity = self.similarity_between(pool1, pool2, metric="cosine")
-        best_for_source = similarity.argmax(axis=1)
-        best_for_target = similarity.argmax(axis=0)
-        proposals = []
-        for i, j in enumerate(best_for_source):
-            if similarity[i, j] < threshold:
-                continue
-            if mutual and best_for_target[j] != i:
-                continue
-            proposals.append((pool1[i], pool2[int(j)]))
-        return proposals
 
     def _record_augmentation(self, iteration: int, proposed: list[tuple[str, str]]):
         """Score proposals against the (non-train) reference alignment."""
@@ -371,26 +436,18 @@ class IPTransE(UnifiedTransApproach):
     )
     merge_seeds = True
     calibration_weight = 0.5
+    # no mutual check and no editing: errors accumulate (Figure 7)
+    self_train_mutual = False
 
     def __init__(self, config=None, augment_every: int = 10,
                  augment_threshold: float = 0.7):
         super().__init__(config)
-        self.augment_every = augment_every
-        self.augment_threshold = augment_threshold
+        self.self_train_every = augment_every
+        self.self_train_threshold = augment_threshold
 
     def _setup(self, pair, split, rng):
         super()._setup(pair, split, rng)
         self._paths = self._mine_paths()
-        self._proposed: list[tuple[str, str]] = []
-
-    def _extra_state(self):
-        state = super()._extra_state()
-        state["proposed"] = [[a, b] for a, b in self._proposed]
-        return state
-
-    def _load_extra_state(self, state):
-        super()._load_extra_state(state)
-        self._proposed = [(a, b) for a, b in state.get("proposed", [])]
 
     def _mine_paths(self, limit: int = 5000) -> np.ndarray:
         """(r1, r2, r3) ids where a 2-hop path co-exists with a direct edge."""
@@ -427,15 +484,6 @@ class IPTransE(UnifiedTransApproach):
         r3 = self.model.relations(sample[:, 2])
         return ((r1 + r2) - r3).square().sum(axis=1).mean() * 0.3
 
-    def _after_epoch(self, epoch, rng):
-        if self.augment_every and epoch % self.augment_every == 0:
-            # no mutual check and no editing: errors accumulate (Figure 7)
-            proposals = self._propose_pairs(self.augment_threshold, mutual=False)
-            for a, b in proposals:
-                self.augmented[self.data.entity_id(a)] = self.data.entity_id(b)
-            self._proposed = sorted(set(self._proposed) | set(proposals))
-            self._record_augmentation(epoch // self.augment_every, self._proposed)
-
 
 class BootEA(UnifiedTransApproach):
     """Sun et al. (2018): bootstrapping entity alignment.
@@ -454,76 +502,19 @@ class BootEA(UnifiedTransApproach):
     swapping = True
     loss_name = "limited"
     calibration_weight = 1.0
+    self_train_edit = True
 
     def __init__(self, config=None, bootstrap: bool = True,
                  bootstrap_every: int = 5, bootstrap_threshold: float = 0.65,
                  truncation: float = 0.2):
         super().__init__(config)
-        self.bootstrap = bootstrap
-        self.bootstrap_every = bootstrap_every
-        self.bootstrap_threshold = bootstrap_threshold
+        self.refresh_every = bootstrap_every
+        self.self_train_every = bootstrap_every if bootstrap else 0
+        self.self_train_threshold = bootstrap_threshold
         self.truncation = truncation
 
     def _setup(self, pair, split, rng):
         super()._setup(pair, split, rng)
         self.sampler = TruncatedSampler(
             self.data.n_entities, truncation=self.truncation
-        )
-        self._proposed_names: dict[str, str] = {}
-        self._sampler_refreshed = False
-
-    def _negatives(self, batch, rng):
-        return self.sampler.corrupt(batch, self.config.n_negatives, rng)
-
-    def _extra_state(self):
-        state = super()._extra_state()
-        state["proposed_names"] = [[a, b]
-                                   for a, b in self._proposed_names.items()]
-        state["sampler_refreshed"] = self._sampler_refreshed
-        return state
-
-    def _load_extra_state(self, state):
-        super()._load_extra_state(state)
-        self._proposed_names = {a: b
-                                for a, b in state.get("proposed_names", [])}
-        # Best-effort: the truncated sampler's neighbor cache is rebuilt
-        # from the restored embeddings (the uninterrupted run built it
-        # from slightly older ones), so BootEA resumes are equivalent in
-        # expectation, not bit-for-bit — see docs/robustness.md.
-        if state.get("sampler_refreshed"):
-            self.sampler.refresh(self.model.entity_embeddings())
-            self._sampler_refreshed = True
-
-    def _after_epoch(self, epoch, rng):
-        if epoch % self.bootstrap_every != 0:
-            return
-        self.sampler.refresh(self.model.entity_embeddings())
-        self._sampler_refreshed = True
-        if not self.bootstrap:
-            return
-        proposals = self._propose_pairs(self.bootstrap_threshold, mutual=True)
-        # alignment editing: mutual proposals replace earlier conflicting
-        # ones; a source entity keeps only its newest mutual match
-        for a, b in proposals:
-            self._proposed_names[a] = b
-        # drop many-to-one conflicts, keeping the most similar source
-        by_target: dict[str, str] = {}
-        if self._proposed_names:
-            sources = list(self._proposed_names)
-            targets = [self._proposed_names[s] for s in sources]
-            similarity = self.similarity_between(sources, targets, metric="cosine")
-            scores = similarity[np.arange(len(sources)), np.arange(len(sources))]
-            for source, target, score in sorted(
-                zip(sources, targets, scores), key=lambda x: -x[2]
-            ):
-                if target not in by_target.values() and source not in by_target:
-                    by_target[source] = target
-        self._proposed_names = by_target
-        self.augmented = {
-            self.data.entity_id(a): self.data.entity_id(b)
-            for a, b in self._proposed_names.items()
-        }
-        self._swapped = self._make_swapped()
-        self._record_augmentation(
-            epoch // self.bootstrap_every, list(self._proposed_names.items())
         )

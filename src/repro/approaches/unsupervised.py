@@ -21,6 +21,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from ..alignment import mutual_nearest
 from ..autodiff import Tensor
 from ..embedding import TransE, margin_ranking_loss, uniform_corrupt
 from ..kg import EntityIndex, KnowledgeGraph
@@ -179,14 +180,8 @@ class UnsupervisedProcrustes(EmbeddingApproach):
         entities2 = self.space2.index.items()
         source = self._matrix(entities1, side=1)
         target = self._matrix(entities2, side=2)
-        similarity = source @ target.T
-        best1 = similarity.argmax(axis=1)
-        best2 = similarity.argmax(axis=0)
-        mutual = [
-            (entities1[i], entities2[int(j)])
-            for i, j in enumerate(best1)
-            if best2[int(j)] == i
-        ]
+        mutual = [(entities1[i], entities2[j])
+                  for i, j in mutual_nearest(source @ target.T)]
         if len(mutual) >= self.config.dim:
             self.pseudo_seeds = mutual
             self._solve_procrustes()

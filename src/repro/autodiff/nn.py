@@ -49,22 +49,10 @@ class EmbeddingTable(Module):
     def dim(self) -> int:
         return self.table.shape[1]
 
-    def normalize_rows(self, rows: np.ndarray | None = None) -> None:
-        """Project rows onto the unit sphere (in place, no gradient).
-
-        ``rows`` restricts the projection to a subset — with the sparse
-        gradient path only rows updated this step need renormalizing.
-        """
-        if rows is None:
-            norms = np.linalg.norm(self.table.data, axis=1, keepdims=True)
-            self.table.data /= np.maximum(norms, 1e-12)
-            return
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return
-        block = self.table.data[rows]
-        norms = np.linalg.norm(block, axis=1, keepdims=True)
-        self.table.data[rows] = block / np.maximum(norms, 1e-12)
+    def normalize_rows(self) -> None:
+        """Project rows onto the unit sphere (in place, no gradient)."""
+        norms = np.linalg.norm(self.table.data, axis=1, keepdims=True)
+        self.table.data /= np.maximum(norms, 1e-12)
 
     def all_embeddings(self) -> np.ndarray:
         """Current embedding matrix as a plain array (no graph)."""

@@ -56,10 +56,6 @@ class Optimizer:
         self.parameters = list(parameters)
         self.lr = lr
         self._state: dict[int, dict] = {}
-        # Optional bookkeeping of which rows each parameter's sparse
-        # gradients touched (for lazy per-epoch normalization).
-        self.track_touched = False
-        self._touched: dict[int, list[np.ndarray] | None] = {}
 
     def zero_grad(self) -> None:
         for parameter in self.parameters:
@@ -69,40 +65,10 @@ class Optimizer:
         for index, parameter in enumerate(self.parameters):
             if parameter.grad is None:
                 continue
-            if self.track_touched:
-                self._record_touched(index, parameter.grad)
             self._update(parameter, self._state.setdefault(index, {}))
 
     def _update(self, parameter: Parameter, state: dict) -> None:
         raise NotImplementedError
-
-    # -- touched-row bookkeeping ---------------------------------------
-    def _record_touched(self, index: int, grad) -> None:
-        if self._touched.get(index, ()) is None:
-            return  # already marked dense ("all rows")
-        if isinstance(grad, SparseGrad):
-            self._touched.setdefault(index, []).append(np.unique(grad.indices))
-        else:
-            self._touched[index] = None
-
-    def consume_touched(self, parameter: Parameter) -> np.ndarray | None:
-        """Rows of ``parameter`` updated since the last call.
-
-        Returns ``None`` when a dense gradient touched every row, or a
-        sorted unique row array otherwise (empty if never updated).
-        Only meaningful with ``track_touched = True``.
-        """
-        for index, candidate in enumerate(self.parameters):
-            if candidate is parameter:
-                break
-        else:
-            raise ValueError("parameter is not managed by this optimizer")
-        touched = self._touched.pop(index, [])
-        if touched is None:
-            return None
-        if not touched:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(np.concatenate(touched))
 
     # -- checkpointing -------------------------------------------------
     def state_dict(self) -> dict:

@@ -44,11 +44,7 @@ class RelationModel(Module):
         """Current entity matrix (used by the alignment module)."""
         return self.entities.all_embeddings()
 
-    def normalize(self, rows: np.ndarray | None = None) -> None:
+    def normalize(self) -> None:
         """Per-epoch normalization hook; default constrains entities to
-        the unit sphere (the setting §5.1 found to help most models).
-
-        ``rows`` restricts the projection to the entities updated this
-        epoch — the sparse-training fast path (see docs/performance.md).
-        """
-        self.entities.normalize_rows(rows)
+        the unit sphere (the setting §5.1 found to help most models)."""
+        self.entities.normalize_rows()

@@ -88,9 +88,9 @@ class SimplE(RelationModel):
         """Average of the two entity roles (standard evaluation choice)."""
         return 0.5 * (self.entities.all_embeddings() + self.tail_entities.all_embeddings())
 
-    def normalize(self, rows: np.ndarray | None = None) -> None:
-        self.entities.normalize_rows(rows)
-        self.tail_entities.normalize_rows(rows)
+    def normalize(self) -> None:
+        self.entities.normalize_rows()
+        self.tail_entities.normalize_rows()
 
 
 class TuckER(RelationModel):

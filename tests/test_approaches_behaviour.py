@@ -165,9 +165,11 @@ def test_imuse_collects_preprocessing_pairs(enfr_pair_module, enfr_split_module,
 def test_kdcoe_description_coverage_limits_proposals(enfr_pair_module, enfr_split_module, fast_config):
     approach = KDCoE(fast_config)
     approach.fit(enfr_pair_module, enfr_split_module)
-    described = set(approach.desc1)
-    proposals = approach._propose_from_descriptions()
-    assert all(a in described for a, _ in proposals)
+    # odd co-training rounds propose in description space
+    pool1, pool2, similarity = approach._proposal_space(iteration=1)
+    assert similarity.shape == (len(pool1), len(pool2))
+    assert set(pool1) <= set(approach.desc1)
+    assert set(pool2) <= set(approach.desc2)
 
 
 def test_rdgcn_literal_features_not_zero(enfr_pair_module, enfr_split_module, fast_config):

@@ -361,30 +361,6 @@ def test_state_keyed_by_index_not_identity():
     assert set(optimizer.state_dict()["state"].keys()) == {0}
 
 
-def test_consume_touched_tracks_sparse_rows():
-    p = Parameter(np.ones((10, 2)))
-    optimizer = SGD([p], lr=0.1)
-    optimizer.track_touched = True
-    p.grad = SparseGrad([4, 2, 4], np.ones((3, 2)), (10, 2))
-    optimizer.step()
-    p.grad = SparseGrad([7], np.ones((1, 2)), (10, 2))
-    optimizer.step()
-    np.testing.assert_array_equal(optimizer.consume_touched(p), [2, 4, 7])
-    # consumed: the next query starts empty
-    np.testing.assert_array_equal(optimizer.consume_touched(p), [])
-    # a dense gradient means "all rows" -> None
-    p.grad = np.ones((10, 2))
-    optimizer.step()
-    assert optimizer.consume_touched(p) is None
-
-
-def test_consume_touched_rejects_foreign_parameter():
-    p = Parameter(np.ones((2, 2)))
-    optimizer = SGD([p], lr=0.1)
-    with pytest.raises(ValueError):
-        optimizer.consume_touched(Parameter(np.ones((2, 2))))
-
-
 # ---------------------------------------------------------------------------
 # checkpoint round-trip under the sparse path
 # ---------------------------------------------------------------------------

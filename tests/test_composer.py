@@ -90,15 +90,3 @@ def test_composed_beats_random(enfr_pair, enfr_split, tiny_config):
     approach.fit(enfr_pair, enfr_split)
     hits1 = approach.evaluate(enfr_split.test, hits_at=(1,)).hits_at(1)
     assert hits1 > 3.0 / len(enfr_split.test)
-
-def test_composed_lazy_normalize_keeps_entities_unit_norm(enfr_pair, enfr_split):
-    """The composer swaps in its own relation model after the base setup;
-    the optimizer fit() builds must still track the rows it updates, or
-    lazy renormalization never reaches them."""
-    Approach = compose_approach(relation_model="transe", combination="swapping",
-                                negative_sampling="truncated")
-    config = ApproachConfig(dim=16, epochs=3, valid_every=0, lazy_normalize=True)
-    approach = Approach(config)
-    approach.fit(enfr_pair, enfr_split)
-    norms = np.linalg.norm(approach.model.entity_embeddings(), axis=1)
-    np.testing.assert_allclose(norms, 1.0, atol=1e-9)

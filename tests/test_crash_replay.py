@@ -18,9 +18,14 @@ import pytest
 from repro import faults
 from repro.approaches import (
     ApproachConfig,
+    BootEA,
     CheckpointCorruption,
+    GCNAlign,
+    IPTransE,
+    KDCoE,
     MTransE,
     TrainingCheckpointer,
+    compose_approach,
 )
 from repro.autodiff import SGD, Adam, Parameter
 from repro.datagen import benchmark_pair
@@ -238,6 +243,101 @@ def test_checkpointing_changes_nothing_about_training(tiny, uninterrupted,
     approach, log = _fit_checkpointed(pair, split, tmp_path)
     assert log.status == "completed"
     _assert_equivalent(approach, uninterrupted, split)
+
+
+# ------------------------------------- epoch-end state: self-training, ES
+@pytest.fixture(scope="module")
+def enfr300():
+    pair = benchmark_pair("EN-FR", size=300, method="direct", seed=0)
+    split = pair.split(train_ratio=0.3, valid_ratio=0.1, seed=0)
+    return pair, split
+
+
+def _config(**overrides):
+    return ApproachConfig(**{"dim": 16, "epochs": 8, "batch_size": 256,
+                             "n_negatives": 3, "seed": 0, "valid_every": 0,
+                             **overrides})
+
+
+SELF_TRAINING = {
+    "KDCoE": lambda: KDCoE(_config(), cotrain_every=2, threshold=0.5),
+    "IPTransE": lambda: IPTransE(_config(), augment_every=2),
+    "BootEA": lambda: BootEA(_config(), bootstrap_every=2),
+    "composed": lambda: compose_approach(
+        "transe", combination="swapping", negative_sampling="truncated",
+        self_training=True, self_training_every=2)(_config()),
+}
+
+
+def _kill_and_resume(factory, pair, split, directory, nth=5):
+    """Crash at the ``nth`` epoch boundary (after the checkpoint of epoch
+    ``nth - 1``), then resume from the checkpoint directory."""
+    with faults.inject(f"epoch.end:nth={nth}:mode=raise"):
+        with pytest.raises(InjectedFault):
+            factory().fit(pair, split, checkpoint_dir=directory)
+    approach = factory()
+    log = approach.fit(pair, split, checkpoint_dir=directory,
+                       resume_from=True)
+    assert log.status == "resumed" and log.resumed_from_epoch == nth - 1
+    return approach, log
+
+
+def _assert_same_parameters(approach, reference):
+    for got, expected in zip(approach._parameters(),
+                             reference._parameters()):
+        np.testing.assert_array_equal(got.data, expected.data)
+
+
+@pytest.mark.parametrize("name", sorted(SELF_TRAINING))
+def test_resume_keeps_augmentation_records(name, enfr300, tmp_path):
+    """The proposed alignment rides in the checkpoint, so a resumed run
+    scores its later rounds (Figure 7) exactly as the uninterrupted run.
+    The epoch-4 checkpoint falls on BootEA's last sampler refresh and
+    precedes the composed model's first, so truncated negatives resume
+    exactly too."""
+    pair, split = enfr300
+    factory = SELF_TRAINING[name]
+    reference = factory()
+    reference.fit(pair, split)
+    approach, log = _kill_and_resume(factory, pair, split, tmp_path)
+    assert len(reference.log.augmentation) == 4
+    assert log.augmentation == reference.log.augmentation
+    _assert_same_parameters(approach, reference)
+
+
+def test_resume_rebuilds_composed_sampler(enfr300, tmp_path):
+    """Resumed from the checkpoint of its refresh epoch (5), a composed
+    model rebuilds its truncated sampler from the restored embeddings and
+    continues bit-identically."""
+    pair, split = enfr300
+
+    def factory():
+        return compose_approach("transe", combination="swapping",
+                                negative_sampling="truncated")(_config())
+
+    reference = factory()
+    reference.fit(pair, split)
+    approach, _ = _kill_and_resume(factory, pair, split, tmp_path, nth=6)
+    _assert_same_parameters(approach, reference)
+
+
+def test_resume_keeps_early_stopping_state(enfr300, tmp_path):
+    """The best snapshot, best Hits@1 and patience counter ride in the
+    checkpoint: the resumed run stops at the same check and restores the
+    same snapshot as the uninterrupted one (epoch 8 and epoch 2 here)."""
+    pair, split = enfr300
+
+    def factory():
+        return GCNAlign(_config(epochs=20, valid_every=2, patience=3))
+
+    reference = factory()
+    reference.fit(pair, split)
+    assert (reference.log.epochs_run, reference.log.best_epoch) == (8, 2)
+    approach, log = _kill_and_resume(factory, pair, split, tmp_path)
+    assert log.valid_history == reference.log.valid_history
+    assert log.best_epoch == reference.log.best_epoch
+    assert log.epochs_run == reference.log.epochs_run
+    _assert_same_parameters(approach, reference)
 
 
 # ------------------------------------------ optimizer state in checkpoints

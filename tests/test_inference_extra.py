@@ -10,6 +10,7 @@ from repro.alignment import (
     greedy_alignment,
     heuristic_matching,
     infer_alignment,
+    mutual_nearest,
     stable_marriage,
 )
 from repro.autodiff import Tensor, check_gradients
@@ -81,6 +82,18 @@ def test_heuristic_between_greedy_and_stable_total(n, seed):
         j = row_best[i]
         if col_best[j] == i:
             assert heuristic[i] == j
+
+
+def test_mutual_nearest_threshold_and_mutuality():
+    sim = np.array([[0.9, 0.1, 0.0],
+                    [0.8, 0.2, 0.1],   # row 1's best column prefers row 0
+                    [0.0, 0.3, 0.4]])
+    assert mutual_nearest(sim) == [(0, 0), (2, 2)]
+    assert mutual_nearest(sim, threshold=0.5) == [(0, 0)]
+    assert mutual_nearest(sim, mutual=False) == [(0, 0), (1, 0), (2, 2)]
+    assert mutual_nearest(sim, threshold=0.5, mutual=False) == [(0, 0), (1, 0)]
+    assert mutual_nearest(np.zeros((0, 3))) == []
+    assert mutual_nearest(np.zeros((2, 0))) == []
 
 
 def test_heuristic_rectangular_more_sources():

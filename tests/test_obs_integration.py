@@ -14,7 +14,7 @@ import pytest
 
 from repro import cli, obs
 from repro.approaches import ApproachConfig, UnsupervisedProcrustes, get_approach
-from repro.approaches.trans_family import MTransE
+from repro.approaches.trans_family import BootEA, MTransE
 from repro.autodiff.tensor import Tensor
 from repro.obs.opprof import _FUNCTION_KINDS, _METHOD_KINDS
 from repro.pipeline import cross_validate
@@ -137,6 +137,22 @@ class TestInstrumentedTraining:
         assert all(s >= 0 for s in log.epoch_seconds)
         assert log.peak_rss_bytes > 0
         assert sum(log.epoch_seconds) <= log.train_seconds + 1e-6
+
+    def test_epoch_end_spans(self, enfr_pair):
+        """The library times BootEA's sampler refresh and bootstrapping
+        round itself, one span each under every scheduled epoch."""
+        split = enfr_pair.split(train_ratio=0.3, valid_ratio=0.1, seed=0)
+        config = ApproachConfig(dim=16, epochs=4, valid_every=0)
+        approach = BootEA(config, bootstrap_every=2)
+        with obs.capture() as cap:
+            log = approach.fit(enfr_pair, split)
+        ids = {e["id"]: e for e in cap.events}
+        for name in ("sampler_refresh", "bootstrap"):
+            events = [e for e in cap.events if e["name"] == name]
+            assert [e["attrs"]["epoch"] for e in events] == [2, 4]
+            for event in events:
+                assert ids[event["parent_id"]]["name"] == "epoch"
+        assert len(log.augmentation) == 2
 
 
 class TestZeroCostWhenOff:

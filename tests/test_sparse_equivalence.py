@@ -101,35 +101,3 @@ def test_sgd_and_adagrad_exact_at_partial_coverage(factory):
     np.testing.assert_allclose(sparse_losses, dense_losses, atol=1e-12)
     for key in dense_params:
         np.testing.assert_allclose(sparse_params[key], dense_params[key], atol=1e-12)
-
-
-def test_lazy_normalize_trains_comparably(enfr_pair, enfr_split):
-    """Lazy per-epoch normalization (only rows touched this step) must
-    train to quality comparable with the paper's full O(|E|) pass."""
-    from repro.approaches import ApproachConfig, get_approach
-
-    def run(lazy):
-        config = ApproachConfig(dim=16, epochs=8, lr=0.05, batch_size=256,
-                                n_negatives=2, seed=0, lazy_normalize=lazy)
-        approach = get_approach("MTransE", config)
-        approach.fit(enfr_pair, enfr_split)
-        return approach.evaluate(enfr_split.test, hits_at=(10,)).hits_at(10)
-
-    eager, lazy = run(False), run(True)
-    assert lazy >= 0.5 * eager  # same ballpark; protocols differ slightly
-
-
-def test_normalize_rows_subset_matches_full():
-    from repro.autodiff import EmbeddingTable
-
-    rng = np.random.default_rng(0)
-    full = EmbeddingTable(8, 4, rng)
-    subset = EmbeddingTable(8, 4, np.random.default_rng(0))
-    np.testing.assert_allclose(full.table.data, subset.table.data)
-
-    rows = np.array([1, 5, 6])
-    full.normalize_rows()
-    subset.normalize_rows(rows)
-    np.testing.assert_allclose(subset.table.data[rows], full.table.data[rows])
-    untouched = np.delete(np.arange(8), rows)
-    assert not np.allclose(subset.table.data[untouched], full.table.data[untouched])

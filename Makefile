@@ -1,4 +1,4 @@
-.PHONY: install test test-fast verify bench serve-bench train-bench train-bench-smoke obs-smoke obs-top-smoke perf-gate perf-gate-smoke quality-smoke faults-smoke robustness-smoke e2e-smoke sweep-smoke tables examples all
+.PHONY: install test test-fast verify bench serve-bench train-bench train-bench-smoke obs-smoke obs-top-smoke perf-gate perf-gate-smoke quality-smoke faults-smoke robustness-smoke e2e-smoke e2e-compare sweep-smoke tables examples all
 
 install:
 	pip install -e . --no-build-isolation
@@ -96,6 +96,25 @@ robustness-smoke:
 # names BENCHMARK.json declares; the traced run reads the training spans
 e2e-smoke:
 	PYTHONPATH=src python -m pytest -q benchmarks/e2e
+
+# the end-to-end perf gate (~5 min on 2 cores): every workload three
+# times at a 30 s budget into E2E_OUT, then one verdict row per workload
+# against E2E_BASE under the bounds of BENCHMARK.json; exits 1 when a
+# metric regressed.  To compare two commits, run it at the older one
+# with E2E_OUT=old.json, then at the newer one with E2E_BASE=old.json.
+E2E_BASE ?= benchmarks/e2e/baseline.json
+E2E_OUT ?= benchmarks/reports/e2e-new.json
+E2E_WORKLOADS = rows-1.5k boot-2.5k pipeline-5k
+e2e-compare:
+	mkdir -p $(dir $(E2E_OUT))
+	rm -f $(E2E_OUT)
+	for workload in $(E2E_WORKLOADS); do \
+		for run in 1 2 3; do \
+			python3 benchmarks/e2e/run.py --workload $$workload \
+				--seconds 30 --out $(E2E_OUT) > /dev/null || exit 1; \
+		done; \
+	done
+	python3 benchmarks/e2e/run.py --compare $(E2E_BASE) $(E2E_OUT)
 
 # toy 2-approach x 2-dataset sweep through the parallel orchestrator
 # (docs/orchestration.md): runs with jobs=2, then reruns serially to

@@ -1,7 +1,11 @@
 """Alignment module: distance metrics, inference strategies, evaluation."""
 
 from .blocking import HyperplaneLSH, blocked_greedy_alignment
-from .streaming import streaming_greedy_alignment, topk_similarity
+from .streaming import (
+    similarity_blocks,
+    streaming_greedy_alignment,
+    topk_similarity,
+)
 from .evaluate import (
     PRF,
     DanglingMetrics,
@@ -30,13 +34,14 @@ from .metrics import (
     csls,
     euclidean_similarity,
     manhattan_similarity,
+    normalize_rows,
     similarity_matrix,
     top_scores,
 )
 
 __all__ = [
     "cosine_similarity", "euclidean_similarity", "manhattan_similarity",
-    "similarity_matrix", "csls", "METRICS", "top_scores",
+    "similarity_matrix", "csls", "METRICS", "top_scores", "normalize_rows",
     "greedy_alignment", "stable_marriage", "hungarian_alignment",
     "heuristic_matching", "infer_alignment", "INFERENCE_STRATEGIES",
     "apply_abstention", "mutual_nearest",
@@ -45,5 +50,5 @@ __all__ = [
     "DanglingMetrics", "nil_aware_metrics", "calibrate_abstention",
     "abstention_curve",
     "HyperplaneLSH", "blocked_greedy_alignment",
-    "topk_similarity", "streaming_greedy_alignment",
+    "similarity_blocks", "topk_similarity", "streaming_greedy_alignment",
 ]

@@ -24,6 +24,8 @@ from collections import defaultdict
 
 import numpy as np
 
+from .metrics import normalize_rows
+
 __all__ = ["HyperplaneLSH", "blocked_greedy_alignment"]
 
 _FALLBACKS = ("nearest", "exact", "none")
@@ -153,12 +155,8 @@ def blocked_greedy_alignment(
     the average share of the target side that was actually scored — the
     speedup knob.
     """
-    def normalize(matrix):
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-        return matrix / np.maximum(norms, 1e-12)
-
-    source = normalize(source)
-    target = normalize(target)
+    source = normalize_rows(source)
+    target = normalize_rows(target)
     lsh = HyperplaneLSH(source.shape[1], n_bits=n_bits, n_tables=n_tables,
                         seed=seed)
     lsh.index(target)

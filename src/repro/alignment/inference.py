@@ -20,6 +20,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .metrics import top_scores
+from .streaming import similarity_blocks
 
 __all__ = [
     "greedy_alignment",
@@ -146,26 +147,47 @@ def heuristic_matching(similarity: np.ndarray) -> np.ndarray:
 
 
 def mutual_nearest(
-    similarity: np.ndarray,
+    source: np.ndarray,
+    target: np.ndarray,
     threshold: float | None = None,
     mutual: bool = True,
 ) -> list[tuple[int, int]]:
-    """``(row, column)`` pairs of each row's nearest column.
+    """``(row, column)`` pairs of each source row's nearest target row.
 
-    A pair is kept when its similarity reaches ``threshold`` (if given)
-    and, with ``mutual``, when the row is also its column's nearest row
-    — the proposal rule of self-training (BootEA, KDCoE) and of MUSE-style
+    Scores are ``source @ target.T`` (pass unit rows for cosine), reduced
+    slab by slab (:func:`~repro.alignment.streaming.similarity_blocks`),
+    so the full matrix is never built.  A pair is kept when its score
+    reaches ``threshold`` (if given) and, with ``mutual``, when the row
+    is also its column's nearest row (the first row wins ties) — the
+    proposal rule of self-training (BootEA, KDCoE) and of MUSE-style
     Procrustes refinement.
     """
-    if similarity.size == 0:
+    n, m = len(source), len(target)
+    if n == 0 or m == 0:
         return []
-    best_for_row = similarity.argmax(axis=1)
-    best_for_column = similarity.argmax(axis=0) if mutual else None
-    return [
-        (i, int(j)) for i, j in enumerate(best_for_row)
-        if (threshold is None or similarity[i, j] >= threshold)
-        and (not mutual or best_for_column[j] == i)
-    ]
+    best_for_row = np.empty(n, dtype=np.int64)
+    best_score = np.empty(n)
+    column_score = np.full(m, -np.inf)
+    best_for_column = np.zeros(m, dtype=np.int64)
+    columns = np.arange(m)
+    for start, sim in similarity_blocks(source, target):
+        stop = start + len(sim)
+        row_best = sim.argmax(axis=1)
+        best_for_row[start:stop] = row_best
+        best_score[start:stop] = sim[np.arange(len(sim)), row_best]
+        if mutual:
+            slab_best = sim.argmax(axis=0)
+            slab_score = sim[slab_best, columns]
+            # strictly greater: an earlier slab keeps a tied column
+            better = slab_score > column_score
+            column_score[better] = slab_score[better]
+            best_for_column[better] = start + slab_best[better]
+    keep = np.ones(n, dtype=bool)
+    if threshold is not None:
+        keep &= best_score >= threshold
+    if mutual:
+        keep &= best_for_column[best_for_row] == np.arange(n)
+    return [(int(i), int(best_for_row[i])) for i in np.flatnonzero(keep)]
 
 
 def hungarian_alignment(similarity: np.ndarray) -> np.ndarray:

@@ -18,17 +18,19 @@ __all__ = [
     "csls",
     "METRICS",
     "top_scores",
+    "normalize_rows",
 ]
 
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
+def normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Each row scaled to unit L2 norm (all-zero rows stay zero)."""
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     return x / np.maximum(norms, 1e-12)
 
 
 def cosine_similarity(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity, shape ``(len(source), len(target))``."""
-    return _normalize_rows(source) @ _normalize_rows(target).T
+    return normalize_rows(source) @ normalize_rows(target).T
 
 
 def euclidean_similarity(source: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..alignment import cosine_similarity
+from ..alignment import normalize_rows
 from ..embedding.attribute import AC2Vec
 from ..text import string_similarity
 from .base import ApproachConfig, ApproachInfo
@@ -27,11 +27,6 @@ from .literals import (
 from .trans_family import UnifiedTransApproach
 
 __all__ = ["JAPE", "AttrE", "IMUSE", "KDCoE", "MultiKE"]
-
-
-def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    return matrix / np.maximum(norms, 1e-12)
 
 
 class LiteralBlendApproach(UnifiedTransApproach):
@@ -103,11 +98,11 @@ class LiteralBlendApproach(UnifiedTransApproach):
 
     def _matrix_for(self, entities: list[str], side: int) -> np.ndarray:
         struct = self.model.entity_embeddings()[self.data.entity_ids(entities)]
-        parts = [np.sqrt(self.structure_weight) * _normalize_rows(struct)]
+        parts = [np.sqrt(self.structure_weight) * normalize_rows(struct)]
         for weight, vecs1, vecs2 in self.channels:
             vectors = vecs1 if side == 1 else vecs2
             matrix = vectors_to_matrix(vectors, entities, self.config.dim)
-            parts.append(np.sqrt(weight) * _normalize_rows(matrix))
+            parts.append(np.sqrt(weight) * normalize_rows(matrix))
         return np.concatenate(parts, axis=1)
 
     def _entity_attr_vectors(self, kg, index, embeddings, side) -> dict:
@@ -351,10 +346,9 @@ class KDCoE(LiteralBlendApproach):
         pool1 = [e for e in pool1 if e in self.desc1]
         pool2 = [e for e in pool2 if e in self.desc2]
         dim = self.config.dim
-        return pool1, pool2, cosine_similarity(
-            vectors_to_matrix(self.desc1, pool1, dim),
-            vectors_to_matrix(self.desc2, pool2, dim),
-        )
+        return (pool1, pool2,
+                normalize_rows(vectors_to_matrix(self.desc1, pool1, dim)),
+                normalize_rows(vectors_to_matrix(self.desc2, pool2, dim)))
 
 
 class MultiKE(LiteralBlendApproach):

@@ -482,7 +482,10 @@ class EmbeddingApproach:
             if best_state is not None and not interrupted:
                 for parameter, saved in zip(self._parameters(), best_state):
                     parameter.data[...] = saved
-        self.log.best_epoch = best_epoch or self.log.epochs_run
+        # without validation the last epoch counts as the best; with it,
+        # the restored snapshot's epoch, which may be the epoch-0 one
+        self.log.best_epoch = (best_epoch if best_state is not None
+                               else self.log.epochs_run)
         self.log.train_seconds = time.perf_counter() - started
         self.log.peak_rss_bytes = peak_rss_bytes()
         if monitor is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..alignment import normalize_rows
 from ..autodiff import Tensor
 from ..embedding import GCNEncoder, normalized_adjacency
 from .base import ApproachInfo, EmbeddingApproach, PairData
@@ -147,8 +148,7 @@ class GCNAlign(GCNApproachBase):
                 row = self.data.entity_id(entity)
                 column = crc32(f"{side}:{attribute}".encode("utf-8")) % dim
                 features[row, column] += 1.0
-        norms = np.linalg.norm(features, axis=1, keepdims=True)
-        return features / np.maximum(norms, 1e-12)
+        return normalize_rows(features)
 
 
 class RDGCN(GCNApproachBase):
@@ -198,5 +198,4 @@ class RDGCN(GCNApproachBase):
             matrix += 0.6 * vectors_to_matrix(values, entities, config.dim)
             rows = self.data.entity_ids(entities)
             features[rows] = matrix
-        norms = np.linalg.norm(features, axis=1, keepdims=True)
-        return features / np.maximum(norms, 1e-12)
+        return normalize_rows(features)

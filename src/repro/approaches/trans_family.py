@@ -13,7 +13,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from ..alignment import mutual_nearest
+from ..alignment import mutual_nearest, normalize_rows
 from ..autodiff import Parameter, Tensor
 from ..obs import span
 from ..embedding import (
@@ -207,10 +207,10 @@ class UnifiedTransApproach(EmbeddingApproach):
     and the loss function, and configure the epoch end by values: hard
     negatives from ``self.sampler`` (set in ``_setup``) are refreshed
     every ``refresh_every`` epochs, and every ``self_train_every`` epochs
-    one self-training round proposes pairs from the unaligned pool
-    (:meth:`_proposal_space`) by :func:`~repro.alignment.mutual_nearest`,
-    then either accumulates them or, with ``self_train_edit``, edits the
-    proposed alignment BootEA-style.
+    one self-training round proposes pairs from the unaligned pool's
+    vectors (:meth:`_proposal_space`) by
+    :func:`~repro.alignment.mutual_nearest`, then either accumulates them
+    or, with ``self_train_edit``, edits the proposed alignment BootEA-style.
     """
 
     merge_seeds = True
@@ -319,10 +319,11 @@ class UnifiedTransApproach(EmbeddingApproach):
     def _self_train(self, iteration: int) -> None:
         """One round: propose from the pool, accumulate or edit, rebuild
         the swapped triples and record the proposed alignment."""
-        pool1, pool2, similarity = self._proposal_space(iteration)
+        pool1, pool2, source, target = self._proposal_space(iteration)
         proposals = [
             (pool1[i], pool2[j]) for i, j in mutual_nearest(
-                similarity, self.self_train_threshold, self.self_train_mutual)
+                source, target, self.self_train_threshold,
+                self.self_train_mutual)
         ]
         if self.self_train_edit:
             self._proposed = self._edit(proposals)
@@ -341,11 +342,14 @@ class UnifiedTransApproach(EmbeddingApproach):
 
     def _proposal_space(
         self, iteration: int
-    ) -> tuple[list[str], list[str], np.ndarray]:
-        """Round ``iteration``'s candidate pools and their similarity:
-        cosine in the alignment space."""
+    ) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
+        """Round ``iteration``'s candidate pools and their unit vectors in
+        the alignment space (one row per pool entity), whose dot products
+        are the cosine scores :func:`~repro.alignment.mutual_nearest`
+        proposes from."""
         pool1, pool2 = self._unaligned_candidates()
-        return pool1, pool2, self.similarity_between(pool1, pool2, metric="cosine")
+        return (pool1, pool2, normalize_rows(self._source_matrix(pool1)),
+                normalize_rows(self._target_matrix(pool2)))
 
     def _edit(self, proposals: list[tuple[str, str]]) -> list[tuple[str, str]]:
         """Alignment editing: a source keeps only its newest mutual match,

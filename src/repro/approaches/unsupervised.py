@@ -21,7 +21,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from ..alignment import mutual_nearest
+from ..alignment import mutual_nearest, normalize_rows
 from ..autodiff import Tensor
 from ..embedding import TransE, margin_ranking_loss, uniform_corrupt
 from ..kg import EntityIndex, KnowledgeGraph
@@ -105,6 +105,8 @@ class UnsupervisedProcrustes(EmbeddingApproach):
         lang2 = pair.metadata.get("lang2", "en")
         self._literals1 = value_word_vectors(pair.kg1, lang1, dim=self.config.dim)
         self._literals2 = value_word_vectors(pair.kg2, lang2, dim=self.config.dim)
+        # validation (and the epoch-0 snapshot) scores the rotated space
+        self._solve_procrustes()
 
     @staticmethod
     def _distant_supervision(pair) -> list[tuple[str, str]]:
@@ -130,7 +132,10 @@ class UnsupervisedProcrustes(EmbeddingApproach):
         return seeds
 
     def _run_epoch(self, epoch, rng):
-        return self._train_space(self.space1, rng) + self._train_space(self.space2, rng)
+        loss = (self._train_space(self.space1, rng)
+                + self._train_space(self.space2, rng))
+        self._solve_procrustes()
+        return loss
 
     def _train_space(self, space: _SingleKGSpace, rng) -> float:
         """One pass over one KG's triples.  Both spaces share the
@@ -160,6 +165,7 @@ class UnsupervisedProcrustes(EmbeddingApproach):
         through to :meth:`EmbeddingApproach.fit`.
         """
         log = super().fit(pair, split, **kwargs)
+        # the restored best snapshot may predate the last epoch's rotation
         self._solve_procrustes()
         for _ in range(self.refinement_rounds):
             self._refine()
@@ -181,26 +187,24 @@ class UnsupervisedProcrustes(EmbeddingApproach):
         source = self._matrix(entities1, side=1)
         target = self._matrix(entities2, side=2)
         mutual = [(entities1[i], entities2[j])
-                  for i, j in mutual_nearest(source @ target.T)]
+                  for i, j in mutual_nearest(source, target)]
         if len(mutual) >= self.config.dim:
             self.pseudo_seeds = mutual
             self._solve_procrustes()
 
     # ------------------------------------------------------------------
     def _matrix(self, entities, side: int) -> np.ndarray:
-        def normalize(matrix):
-            norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-            return matrix / np.maximum(norms, 1e-12)
-
         if side == 1:
-            struct = normalize(self.space1.embeddings(entities) @ self.rotation)
+            struct = normalize_rows(
+                self.space1.embeddings(entities) @ self.rotation)
             literals = self._literals1
         else:
-            struct = normalize(self.space2.embeddings(entities))
+            struct = normalize_rows(self.space2.embeddings(entities))
             literals = self._literals2
         from .literals import vectors_to_matrix
 
-        lit = normalize(vectors_to_matrix(literals, list(entities), self.config.dim))
+        lit = normalize_rows(
+            vectors_to_matrix(literals, list(entities), self.config.dim))
         blend = self.literal_blend
         return np.concatenate(
             [np.sqrt(1.0 - blend) * struct, np.sqrt(blend) * lit], axis=1

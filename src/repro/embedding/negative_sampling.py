@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..alignment import normalize_rows, similarity_blocks
+
 __all__ = ["uniform_corrupt", "TruncatedSampler"]
 
 Triples = np.ndarray  # (n, 3) int array of (head, relation, tail) ids
@@ -63,13 +65,16 @@ class TruncatedSampler:
             )
         limit = max(1, int(np.ceil(self.truncation * self.n_entities)))
         k = min(self.cache_size, limit, self.n_entities - 1)
-        normalized = embeddings / np.maximum(
-            np.linalg.norm(embeddings, axis=1, keepdims=True), 1e-12
-        )
-        similarity = normalized @ normalized.T
-        np.fill_diagonal(similarity, -np.inf)
-        # top-k neighbors per entity (unsorted is fine for sampling)
-        self._neighbors = np.argpartition(-similarity, k - 1, axis=1)[:, :k]
+        normalized = normalize_rows(embeddings)
+        # top-k neighbors per entity (unsorted is fine for sampling), one
+        # slab of cosine rows at a time: memory stays O(|E| * k)
+        neighbors = np.empty((self.n_entities, k), dtype=np.int64)
+        for start, similarity in similarity_blocks(normalized, normalized):
+            rows = np.arange(len(similarity))
+            similarity[rows, start + rows] = -np.inf  # never oneself
+            neighbors[start:start + len(rows)] = np.argpartition(
+                -similarity, k - 1, axis=1)[:, :k]
+        self._neighbors = neighbors
 
     @property
     def ready(self) -> bool:

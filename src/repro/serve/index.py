@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..alignment.blocking import HyperplaneLSH
+from ..alignment.metrics import normalize_rows
 from ..alignment.streaming import topk_similarity
 
 __all__ = ["ANNIndex", "ExactIndex", "LSHIndex", "IVFIndex",
@@ -33,9 +34,9 @@ __all__ = ["ANNIndex", "ExactIndex", "LSHIndex", "IVFIndex",
 
 
 def _normalize(matrix: np.ndarray, dtype=np.float64) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=np.float64)
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    return (matrix / np.maximum(norms, 1e-12)).astype(dtype, copy=False)
+    """Unit rows, normalized in float64 and then cast to ``dtype``."""
+    unit = normalize_rows(np.asarray(matrix, dtype=np.float64))
+    return unit.astype(dtype, copy=False)
 
 
 def _merge_topk(ids_buf: np.ndarray, scores_buf: np.ndarray,

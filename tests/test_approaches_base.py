@@ -11,6 +11,7 @@ from repro.approaches import (
     get_approach,
     required_information_table,
 )
+from repro.alignment import RankMetrics
 from repro.approaches.base import ApproachInfo
 from repro.kg import AlignmentSplit, KGPair, KnowledgeGraph
 
@@ -130,6 +131,25 @@ def test_early_stopping_restores_best(enfr_pair, enfr_split):
     log = approach.fit(enfr_pair, enfr_split)
     # with an aggressive lr the run may stop early; never past max epochs
     assert log.epochs_run <= 30
+
+
+def test_best_epoch_names_a_restored_epoch_zero_snapshot(enfr_pair,
+                                                         enfr_split):
+    """When no trained epoch beats the epoch-0 validation, fit restores
+    the epoch-0 snapshot, and the log says so."""
+    config = ApproachConfig(dim=8, epochs=3, valid_every=1,
+                            early_stop=False)
+    approach = get_approach("MTransE", config)
+    scripted = iter([0.5, 0.1, 0.2, 0.1])  # epochs 0, 1, 2, 3
+    approach.evaluate = lambda pairs, hits_at=(1,): RankMetrics(
+        hits={1: next(scripted)}, mr=1.0, mrr=1.0, n=len(pairs))
+    log = approach.fit(enfr_pair, enfr_split)
+    initial = get_approach("MTransE", ApproachConfig(dim=8, epochs=0))
+    initial.fit(enfr_pair, enfr_split)
+    assert log.valid_history == [(1, 0.1), (2, 0.2), (3, 0.1)]
+    assert (log.epochs_run, log.best_epoch) == (3, 0)
+    for trained, start in zip(approach._parameters(), initial._parameters()):
+        np.testing.assert_array_equal(trained.data, start.data)
 
 
 def test_evaluate_and_predict_shapes(enfr_pair, enfr_split, fast_config):

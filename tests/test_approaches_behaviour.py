@@ -166,8 +166,9 @@ def test_kdcoe_description_coverage_limits_proposals(enfr_pair_module, enfr_spli
     approach = KDCoE(fast_config)
     approach.fit(enfr_pair_module, enfr_split_module)
     # odd co-training rounds propose in description space
-    pool1, pool2, similarity = approach._proposal_space(iteration=1)
-    assert similarity.shape == (len(pool1), len(pool2))
+    pool1, pool2, source, target = approach._proposal_space(iteration=1)
+    assert source.shape == (len(pool1), fast_config.dim)
+    assert target.shape == (len(pool2), fast_config.dim)
     assert set(pool1) <= set(approach.desc1)
     assert set(pool2) <= set(approach.desc2)
 

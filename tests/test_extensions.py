@@ -1,6 +1,8 @@
 """Tests for the §7.2 future-direction extensions: unsupervised alignment
 and LSH blocking."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from repro.approaches import (
     UnsupervisedProcrustes,
     orthogonal_procrustes,
 )
+from repro.datagen import benchmark_pair
 from repro.pipeline import cross_validate
 
 
@@ -65,6 +68,23 @@ def test_unsupervised_ignores_training_seeds(enfr_pair, enfr_split):
     hits1 = approach.evaluate(enfr_split.test, hits_at=(1,)).hits_at(1)
     assert hits1 > 5.0 / len(enfr_split.test), "should beat random by far"
     assert approach.pseudo_seeds, "distant supervision must find pseudo-seeds"
+
+
+def test_unsupervised_validation_keeps_trained_parameters():
+    """Validation scores the rotated space: the rotation is solved at the
+    end of set-up and of every epoch, so trained epochs can beat the
+    epoch-0 snapshot instead of losing to an unrotated space."""
+    pair = benchmark_pair("EN-FR", size=300, method="direct", seed=0)
+    split = pair.split(train_ratio=0.3, valid_ratio=0.1, seed=0)
+    config = ApproachConfig(dim=16, epochs=10, batch_size=256,
+                            n_negatives=3, valid_every=5, early_stop=False)
+    approach = UnsupervisedProcrustes(config)
+    log = approach.fit(pair, split)
+    initial = UnsupervisedProcrustes(replace(config, epochs=0))
+    initial.fit(pair, split)
+    assert log.best_epoch > 0
+    assert not all(np.array_equal(trained.data, start.data) for trained, start
+                   in zip(approach._parameters(), initial._parameters()))
 
 
 def test_unsupervised_pseudo_seeds_are_one_to_one(enfr_pair, enfr_split):

@@ -88,12 +88,16 @@ def test_mutual_nearest_threshold_and_mutuality():
     sim = np.array([[0.9, 0.1, 0.0],
                     [0.8, 0.2, 0.1],   # row 1's best column prefers row 0
                     [0.0, 0.3, 0.4]])
-    assert mutual_nearest(sim) == [(0, 0), (2, 2)]
-    assert mutual_nearest(sim, threshold=0.5) == [(0, 0)]
-    assert mutual_nearest(sim, mutual=False) == [(0, 0), (1, 0), (2, 2)]
-    assert mutual_nearest(sim, threshold=0.5, mutual=False) == [(0, 0), (1, 0)]
-    assert mutual_nearest(np.zeros((0, 3))) == []
-    assert mutual_nearest(np.zeros((2, 0))) == []
+    # eye(3) @ sim.T.T rebuilds the matrix exactly
+    source, target = np.eye(3), sim.T
+    assert mutual_nearest(source, target) == [(0, 0), (2, 2)]
+    assert mutual_nearest(source, target, threshold=0.5) == [(0, 0)]
+    assert mutual_nearest(source, target, mutual=False) == [
+        (0, 0), (1, 0), (2, 2)]
+    assert mutual_nearest(source, target, threshold=0.5, mutual=False) == [
+        (0, 0), (1, 0)]
+    assert mutual_nearest(np.zeros((0, 3)), np.zeros((3, 3))) == []
+    assert mutual_nearest(np.zeros((2, 3)), np.zeros((0, 3))) == []
 
 
 def test_heuristic_rectangular_more_sources():

@@ -1,4 +1,4 @@
-.PHONY: install test test-fast verify bench serve-bench train-bench train-bench-smoke obs-smoke obs-top-smoke perf-gate perf-gate-smoke quality-smoke faults-smoke robustness-smoke e2e-smoke e2e-compare sweep-smoke tables examples all
+.PHONY: install test test-fast verify bench serve-bench train-bench train-bench-smoke obs-smoke obs-top-smoke perf-gate perf-gate-smoke quality-smoke faults-smoke robustness-smoke e2e-smoke e2e-compare digests sweep-smoke tables examples all
 
 install:
 	pip install -e . --no-build-isolation
@@ -115,6 +115,13 @@ e2e-compare:
 		done; \
 	done
 	python3 benchmarks/e2e/run.py --compare $(E2E_BASE) $(E2E_OUT)
+
+# behaviour-preservation digests (benchmarks/digest_table.py, a few
+# minutes): final parameters, loss curve, validation, augmentation and
+# alignment-module outputs of every approach on EN-FR 300.  A refactor
+# that must not change results prints the same tables before and after.
+digests:
+	PYTHONPATH=src python benchmarks/digest_table.py
 
 # toy 2-approach x 2-dataset sweep through the parallel orchestrator
 # (docs/orchestration.md): runs with jobs=2, then reruns serially to

@@ -2,8 +2,9 @@
 
 from .blocking import HyperplaneLSH, blocked_greedy_alignment
 from .streaming import (
+    RowScores,
+    row_scores,
     similarity_blocks,
-    streaming_greedy_alignment,
     topk_similarity,
 )
 from .evaluate import (
@@ -29,7 +30,6 @@ from .inference import (
     stable_marriage,
 )
 from .metrics import (
-    METRICS,
     cosine_similarity,
     csls,
     euclidean_similarity,
@@ -41,7 +41,7 @@ from .metrics import (
 
 __all__ = [
     "cosine_similarity", "euclidean_similarity", "manhattan_similarity",
-    "similarity_matrix", "csls", "METRICS", "top_scores", "normalize_rows",
+    "similarity_matrix", "csls", "top_scores", "normalize_rows",
     "greedy_alignment", "stable_marriage", "hungarian_alignment",
     "heuristic_matching", "infer_alignment", "INFERENCE_STRATEGIES",
     "apply_abstention", "mutual_nearest",
@@ -50,5 +50,5 @@ __all__ = [
     "DanglingMetrics", "nil_aware_metrics", "calibrate_abstention",
     "abstention_curve",
     "HyperplaneLSH", "blocked_greedy_alignment",
-    "similarity_blocks", "topk_similarity", "streaming_greedy_alignment",
+    "similarity_blocks", "topk_similarity", "row_scores", "RowScores",
 ]

@@ -3,7 +3,9 @@
 Rank metrics assume the standard left-to-right protocol: each test source
 entity ranks all candidate target entities; the gold target's rank drives
 Hits@m / MR / MRR.  Hits@1 equals precision in this protocol (every source
-entity emits exactly one prediction).
+entity emits exactly one prediction).  Each function taking a similarity
+also takes the slab stream of :func:`~repro.alignment.similarity_blocks`
+over the same rows.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import top_scores
+from .streaming import RowScores, Slabs, row_scores
 
 __all__ = [
     "RankMetrics",
@@ -46,7 +48,7 @@ class RankMetrics:
 
 
 def rank_metrics(
-    similarity: np.ndarray,
+    similarity: np.ndarray | Slabs,
     gold: np.ndarray,
     hits_at: tuple[int, ...] = (1, 5, 10),
 ) -> RankMetrics:
@@ -57,14 +59,9 @@ def rank_metrics(
     the gold entity below strictly-more-similar candidates only.
     """
     gold = np.asarray(gold, dtype=np.int64)
-    if similarity.shape[0] != gold.shape[0]:
-        raise ValueError(
-            f"{similarity.shape[0]} rows but {gold.shape[0]} gold labels"
-        )
-    if similarity.shape[0] == 0:
+    ranks = row_scores(similarity, gold).rank
+    if len(ranks) == 0:
         return RankMetrics(hits={m: 0.0 for m in hits_at}, mr=0.0, mrr=0.0, n=0)
-    gold_scores = similarity[np.arange(len(gold)), gold]
-    ranks = 1 + (similarity > gold_scores[:, None]).sum(axis=1)
     hits = {m: float((ranks <= m).mean()) for m in hits_at}
     return RankMetrics(
         hits=hits,
@@ -212,18 +209,21 @@ class DanglingMetrics:
         )
 
 
-def _abstention_signal(similarity: np.ndarray, method: str) -> np.ndarray:
+def _signal(similarity, method: str,
+            gold=None) -> tuple[RowScores, np.ndarray]:
+    """The row scores (with ranks when ``gold`` is given) and the
+    per-row signal an abstention ``method`` reads."""
     if method not in ABSTENTION_METHODS:
         raise ValueError(
             f"unknown abstention method {method!r}; "
             f"choose from {ABSTENTION_METHODS}"
         )
-    best, margin = top_scores(similarity)
-    return best if method == "threshold" else margin
+    scores = row_scores(similarity, gold, margin=method == "margin")
+    return scores, scores.best if method == "threshold" else scores.margin
 
 
 def nil_aware_metrics(
-    similarity: np.ndarray,
+    similarity: np.ndarray | Slabs,
     gold: np.ndarray,
     method: str = "threshold",
     threshold: float = 0.0,
@@ -237,11 +237,12 @@ def nil_aware_metrics(
     falls below ``threshold``.
     """
     gold = np.asarray(gold, dtype=np.int64)
-    if similarity.shape[0] != gold.shape[0]:
-        raise ValueError(
-            f"{similarity.shape[0]} rows but {gold.shape[0]} gold labels"
-        )
-    signal = _abstention_signal(similarity, method)
+    return _nil_metrics(*_signal(similarity, method, gold), gold, method,
+                        threshold)
+
+
+def _nil_metrics(scores: RowScores, signal: np.ndarray, gold: np.ndarray,
+                 method: str, threshold: float) -> DanglingMetrics:
     abstain = signal < threshold
     dangling = gold < 0
     matchable = ~dangling
@@ -255,14 +256,10 @@ def nil_aware_metrics(
           if precision + recall else 0.0)
 
     n_matchable = int(matchable.sum())
-    if n_matchable and similarity.shape[1]:
-        rows = np.where(matchable)[0]
-        predicted = similarity[rows].argmax(axis=1)
-        correct = (predicted == gold[rows]) & ~abstain[rows]
-        hits1 = float(correct.mean())
-        gold_scores = similarity[rows, gold[rows]]
-        ranks = 1 + (similarity[rows] > gold_scores[:, None]).sum(axis=1)
-        mrr = float((1.0 / ranks).mean())
+    if n_matchable:
+        correct = (scores.column == gold) & ~abstain
+        hits1 = float(correct[matchable].mean())
+        mrr = float((1.0 / scores.rank[matchable]).mean())
     else:
         hits1 = 0.0
         mrr = 0.0
@@ -282,7 +279,7 @@ def nil_aware_metrics(
 
 
 def calibrate_abstention(
-    similarity: np.ndarray,
+    similarity: np.ndarray | Slabs,
     gold: np.ndarray,
     method: str = "threshold",
     fallback_quantile: float = 0.05,
@@ -296,13 +293,13 @@ def calibrate_abstention(
     the matchable signals — abstain on the least-confident tail.
     """
     gold = np.asarray(gold, dtype=np.int64)
-    signal = _abstention_signal(similarity, method)
+    _, signal = _signal(similarity, method)
     dangling = gold < 0
     if signal.size == 0:
         return 0.0
     if not dangling.any():
         return float(np.quantile(signal, fallback_quantile))
-    order = np.sort(np.unique(signal))
+    order = np.unique(signal)
     if order.size == 1:
         candidates = np.array([order[0]])
     else:
@@ -310,10 +307,13 @@ def calibrate_abstention(
             ([order[0] - 1e-9], (order[:-1] + order[1:]) / 2.0,
              [order[-1] + 1e-9])
         )
-    # Vectorized sweep: F1 of "signal < t" against the dangling labels.
-    abstain = signal[None, :] < candidates[:, None]
-    true_pos = (abstain & dangling[None, :]).sum(axis=1).astype(float)
-    n_abstained = abstain.sum(axis=1).astype(float)
+    # "signal < t" abstains on a prefix of the signals in ascending
+    # order: its length and the dangling count within it give the F1.
+    ascending = np.argsort(signal, kind="stable")
+    n_abstained = np.searchsorted(signal[ascending], candidates, side="left")
+    true_pos = np.concatenate(([0], np.cumsum(dangling[ascending])))[
+        n_abstained].astype(float)
+    n_abstained = n_abstained.astype(float)
     n_dangling = float(dangling.sum())
     with np.errstate(divide="ignore", invalid="ignore"):
         precision = np.where(n_abstained > 0, true_pos / n_abstained, 0.0)
@@ -326,7 +326,7 @@ def calibrate_abstention(
 
 
 def abstention_curve(
-    similarity: np.ndarray,
+    similarity: np.ndarray | Slabs,
     gold: np.ndarray,
     method: str = "threshold",
     thresholds: list[float] | np.ndarray | None = None,
@@ -338,14 +338,13 @@ def abstention_curve(
     signal, so the curve covers the abstain-nothing..abstain-most range
     whatever the score scale.
     """
+    gold = np.asarray(gold, dtype=np.int64)
+    scores, signal = _signal(similarity, method, gold)
     if thresholds is None:
-        signal = _abstention_signal(similarity, method)
         if signal.size == 0:
             thresholds = [0.0]
         else:
             quantiles = np.linspace(0.0, 0.9, n_points)
             thresholds = np.unique(np.quantile(signal, quantiles))
-    return [
-        nil_aware_metrics(similarity, gold, method=method, threshold=float(t))
-        for t in thresholds
-    ]
+    return [_nil_metrics(scores, signal, gold, method, float(t))
+            for t in thresholds]

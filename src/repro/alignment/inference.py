@@ -19,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .metrics import top_scores
-from .streaming import similarity_blocks
+from .streaming import Slabs, row_scores, similarity_blocks
 
 __all__ = [
     "greedy_alignment",
@@ -50,20 +49,17 @@ def apply_abstention(
     if min_score is None and min_margin is None:
         return assignment
     result = np.asarray(assignment, dtype=np.int64).copy()
-    assigned = result >= 0
     if min_score is not None:
-        rows = np.where(assigned)[0]
+        rows = np.where(result >= 0)[0]
         scores = similarity[rows, result[rows]]
         result[rows[scores < min_score]] = -1
-        assigned = result >= 0
     if min_margin is not None:
-        _, margins = top_scores(similarity)
-        result[assigned & (margins < min_margin)] = -1
+        result[row_scores(similarity, margin=True).margin < min_margin] = -1
     return result
 
 
 def greedy_alignment(
-    similarity: np.ndarray,
+    similarity: np.ndarray | Slabs,
     min_score: float | None = None,
     min_margin: float | None = None,
 ) -> np.ndarray:
@@ -71,10 +67,12 @@ def greedy_alignment(
 
     Several sources may pick the same target (the 1-to-1 violations the
     hubness analysis of Figure 10 counts).  With ``min_score`` /
-    ``min_margin`` set, low-confidence sources abstain to ``-1`` (NIL).
+    ``min_margin`` set, low-confidence sources abstain to ``-1`` (NIL);
+    without them ``similarity`` may also be the slab stream of
+    :func:`~repro.alignment.similarity_blocks` over the same rows.
     """
     return apply_abstention(
-        similarity, similarity.argmax(axis=1), min_score, min_margin
+        similarity, row_scores(similarity).column, min_score, min_margin
     )
 
 

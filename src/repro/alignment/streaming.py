@@ -1,28 +1,26 @@
-"""Blockwise similarity for large candidate spaces (§7.2, large-scale).
+"""The one similarity kernel of the alignment module (§7.2, large-scale).
 
 The paper measures ~8 minutes for a full pairwise cosine matrix on a
 100K dataset and calls for candidate-space reduction.  This module keeps
-memory bounded instead: :func:`similarity_blocks` produces
-``source @ target.T`` one row slab at a time, and every consumer reduces
-each slab before the next one is built, so aligning N x M entities needs
-O(N * k) memory rather than O(N * M).  The consumers are per-source
-top-k (:func:`topk_similarity`, behind ``ExactIndex``), greedy and CSLS
-alignment (:func:`streaming_greedy_alignment`), the neighbour lists of
-BootEA's truncated negatives (``TruncatedSampler.refresh``) and the
-mutual-nearest proposals of self-training
-(:func:`repro.alignment.mutual_nearest`).
+memory bounded instead: :func:`similarity_blocks` yields the similarity
+under a metric, optionally CSLS-adjusted, one row slab at a time, and
+every consumer reduces a slab before the next one is built.  The
+reductions are per-row scores (:func:`row_scores`: evaluation, NIL
+calibration, greedy and mutual-nearest inference), per-source top-k
+(:func:`topk_similarity`) and the neighbour lists of BootEA's truncated
+negatives (``TruncatedSampler.refresh``).  The dense functions of
+:mod:`repro.alignment.metrics` are the same code over one slab.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import normalize_rows
-
-__all__ = ["similarity_blocks", "topk_similarity",
-           "streaming_greedy_alignment"]
+__all__ = ["similarity_blocks", "topk_similarity", "row_scores",
+           "RowScores", "normalize_rows"]
 
 # Cells of one float64 slab (8 MiB) when the caller names no block.  A
 # sampler refresh at 4,457 entities ran fastest with slabs of this size
@@ -30,23 +28,137 @@ __all__ = ["similarity_blocks", "topk_similarity",
 # (docs/performance.md, "Bounded-memory similarity").
 SLAB_CELLS = 2**20
 
+Slabs = Iterable[tuple[int, np.ndarray]]
+
+_METRICS = ("cosine", "euclidean", "manhattan")
+
+
+def normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Each row scaled to unit L2 norm (all-zero rows stay zero)."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    return x / np.maximum(norms, 1e-12)
+
 
 def similarity_blocks(
     source: np.ndarray,
     target: np.ndarray,
     block: int | None = None,
+    metric: str | None = None,
+    csls_k: int = 0,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start, source[start:start + rows] @ target.T)`` slabs.
+    """Yield ``(start, slab)``: rows ``start:start + len(slab)`` of the
+    similarity under ``metric`` (``None``: ``source @ target.T``),
+    CSLS-adjusted (Eq. 7) with ``csls_k > 0``.
 
-    ``block`` is the number of source rows per slab; by default it is
-    ``SLAB_CELLS // len(target)``, so a slab holds about 8 MiB whatever
-    the target count.  Each slab is a fresh array the consumer may
-    modify in place.
+    ``block`` rows per slab; by default ``SLAB_CELLS // len(target)``,
+    about 8 MiB whatever the target count, and Manhattan's slabs keep
+    its ``dim``-times larger temporary within that budget too.  Each
+    slab is a fresh array the consumer may modify in place.
     """
-    rows = block or max(1, SLAB_CELLS // max(len(target), 1))
+    if metric not in (None, *_METRICS):
+        raise KeyError(f"unknown metric {metric!r}; choose from "
+                       f"{sorted(_METRICS)}")
+    if csls_k > 0:
+        yield from _csls(
+            lambda: similarity_blocks(source, target, block, metric),
+            lambda: similarity_blocks(target, source, block, metric),
+            len(source), len(target), csls_k)
+        return
+    if metric == "cosine":
+        source, target = normalize_rows(source), normalize_rows(target)
+    elif metric == "euclidean":
+        source_sq = (source**2).sum(axis=1)[:, None]
+        target_sq = (target**2).sum(axis=1)[None, :]
+    width = len(target) * (source.shape[1] if metric == "manhattan" else 1)
+    budget = max(1, SLAB_CELLS // max(width, 1))
+    rows = block or budget
+    if metric == "manhattan":
+        rows = min(rows, budget)
     target_t = target.T
     for start in range(0, len(source), rows):
-        yield start, source[start:start + rows] @ target_t
+        part = source[start:start + rows]
+        if metric == "manhattan":
+            yield start, -np.abs(
+                part[:, None, :] - target[None, :, :]).sum(axis=2)
+        elif metric == "euclidean":
+            squared = source_sq[start:start + rows] + target_sq \
+                - 2.0 * part @ target_t
+            yield start, -np.sqrt(np.maximum(squared, 0.0))
+        else:
+            yield start, part @ target_t
+
+
+def _csls(slabs, slabs_t, n: int, m: int, k: int) -> Iterator:
+    """CSLS (Eq. 7) of a slab stream: ``2 sim(s, t) - psi_t(s) - psi_s(t)``,
+    where ``psi`` is the mean of the k largest scores of a row of the
+    similarity (``slabs()``) or of its transpose (``slabs_t()``)."""
+    if n == 0 or m == 0:
+        yield from slabs()
+        return
+    psi_source, psi_target = np.empty(n), np.empty(m)
+    for psi, stream in ((psi_source, slabs()), (psi_target, slabs_t())):
+        for start, slab in stream:
+            top = min(k, slab.shape[1])
+            psi[start:start + len(slab)] = np.partition(
+                slab, -top, axis=1)[:, -top:].mean(axis=1)
+    for start, slab in slabs():
+        stop = start + len(slab)
+        yield start, (2.0 * slab - psi_source[start:stop, None]
+                      - psi_target[None, :])
+
+
+@dataclass(frozen=True)
+class RowScores:
+    """What every scoring call reads of a similarity, one entry per row:
+    the top-1 ``column`` (the first on ties) and its score ``best``, the
+    top-1/top-2 ``margin`` (``+inf`` with a single candidate) and the
+    1-based ``rank`` of the gold column (one plus the number of strictly
+    greater scores; 0 where the gold column is -1)."""
+
+    column: np.ndarray
+    best: np.ndarray
+    margin: np.ndarray | None
+    rank: np.ndarray | None
+
+
+def row_scores(
+    similarity: np.ndarray | Slabs,
+    gold: np.ndarray | None = None,
+    margin: bool = False,
+) -> RowScores:
+    """Reduce a matrix (one slab) or a :func:`similarity_blocks` stream
+    over the same rows to :class:`RowScores`; margins only when asked
+    for, ranks only when ``gold`` gives each row's column."""
+    if isinstance(similarity, np.ndarray):
+        if gold is not None and len(similarity) != len(gold):
+            raise ValueError(
+                f"{len(similarity)} rows but {len(gold)} gold labels")
+        similarity = [(0, similarity)]
+    columns, bests, margins, ranks = [], [], [], []
+    for start, slab in similarity:
+        n_rows, width = slab.shape
+        rows = np.arange(n_rows)
+        column = slab.argmax(axis=1) if width else np.full(n_rows, -1)
+        best = slab[rows, column] if width else np.zeros(n_rows)
+        columns.append(column)
+        bests.append(best)
+        if margin:
+            margins.append(best - np.partition(slab, -2, axis=1)[:, -2]
+                           if width > 1
+                           else np.full(n_rows, np.inf if width else 0.0))
+        if gold is not None:
+            slab_gold = gold[start:start + n_rows]
+            gold_score = (slab[rows, np.maximum(slab_gold, 0)] if width
+                          else best)
+            greater = (slab > gold_score[:, None]).sum(axis=1)
+            ranks.append(np.where(slab_gold >= 0, 1 + greater, 0))
+
+    def joined(parts, dtype=np.float64):
+        return np.concatenate([np.zeros(0, dtype), *parts])
+
+    return RowScores(joined(columns, np.int64), joined(bests),
+                     joined(margins) if margin else None,
+                     joined(ranks, np.int64) if gold is not None else None)
 
 
 def topk_similarity(
@@ -63,48 +175,16 @@ def topk_similarity(
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    source = normalize_rows(source)
-    target = normalize_rows(target)
     k = min(k, len(target))
     n = len(source)
     indices = np.zeros((n, k), dtype=np.int64)
     scores = np.zeros((n, k))
-    for start, sim in similarity_blocks(source, target, block):
+    for start, sim in similarity_blocks(source, target, block, "cosine"):
         stop = start + len(sim)
-        top = np.argpartition(-sim, k - 1, axis=1)[:, :k]
-        top_scores = np.take_along_axis(sim, top, axis=1)
+        np.negative(sim, out=sim)  # argpartition takes the lowest
+        top = np.argpartition(sim, k - 1, axis=1)[:, :k]
+        top_scores = -np.take_along_axis(sim, top, axis=1)
         order = np.argsort(-top_scores, axis=1)
         indices[start:stop] = np.take_along_axis(top, order, axis=1)
         scores[start:stop] = np.take_along_axis(top_scores, order, axis=1)
     return indices, scores
-
-
-def streaming_greedy_alignment(
-    source: np.ndarray,
-    target: np.ndarray,
-    block: int | None = None,
-    csls_k: int = 0,
-) -> np.ndarray:
-    """Greedy nearest-neighbor alignment without the full matrix.
-
-    With ``csls_k > 0`` the CSLS correction is applied using streaming
-    estimates of the neighborhood densities (two passes over the data).
-    """
-    if csls_k <= 0:
-        indices, _ = topk_similarity(source, target, k=1, block=block)
-        return indices[:, 0]
-
-    k = min(csls_k, len(target), len(source))
-    # pass 1: neighborhood densities psi_t(s) and psi_s(t)
-    _, source_top = topk_similarity(source, target, k=k, block=block)
-    psi_source = source_top.mean(axis=1)
-    _, target_top = topk_similarity(target, source, k=k, block=block)
-    psi_target = target_top.mean(axis=1)
-    # pass 2: blockwise CSLS argmax
-    result = np.zeros(len(source), dtype=np.int64)
-    for start, sim in similarity_blocks(
-            normalize_rows(source), normalize_rows(target), block):
-        stop = start + len(sim)
-        adjusted = 2.0 * sim - psi_source[start:stop, None] - psi_target[None, :]
-        result[start:stop] = adjusted.argmax(axis=1)
-    return result

@@ -19,6 +19,7 @@ batch size and early stopping when validation Hits@1 begins to drop
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from ..alignment import csls as csls_rescale
 from ..alignment import infer_alignment, rank_metrics, similarity_matrix
+from ..alignment import similarity_blocks
 from ..alignment.evaluate import (
     DanglingMetrics,
     RankMetrics,
@@ -570,6 +572,22 @@ class EmbeddingApproach:
             matrix = csls_rescale(matrix, k=csls_k)
         return matrix
 
+    def similarity_slabs(
+        self,
+        sources: list[str],
+        targets: list[str],
+        metric: str | None = None,
+        csls_k: int = 0,
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """:meth:`similarity_between`'s matrix as the ``(start, slab)``
+        stream of :func:`~repro.alignment.similarity_blocks`."""
+        return similarity_blocks(
+            self._source_matrix(sources),
+            self._target_matrix(targets),
+            metric=metric or self.info.metric,
+            csls_k=csls_k,
+        )
+
     def predict(
         self,
         pairs: list[tuple[str, str]],
@@ -580,7 +598,10 @@ class EmbeddingApproach:
         """Predicted alignment over the entities of ``pairs``."""
         sources = [a for a, _ in pairs]
         targets = [b for _, b in pairs]
-        similarity = self.similarity_between(sources, targets, metric, csls_k)
+        # only the global 1-to-1 strategies need the whole matrix
+        similarity = (self.similarity_slabs if strategy == "greedy"
+                      else self.similarity_between)(
+            sources, targets, metric, csls_k)
         assignment = infer_alignment(similarity, strategy)
         return [
             (source, targets[int(j)])
@@ -603,19 +624,14 @@ class EmbeddingApproach:
         ``"all"`` ranks against every entity of KG2 — the harder setting
         whose cost §7.2 discusses for large KGs.
         """
-        sources = [a for a, _ in pairs]
         if candidates == "test":
-            targets = [b for _, b in pairs]
+            similarity = self.similarity_slabs(
+                [a for a, _ in pairs], [b for _, b in pairs], metric, csls_k)
             gold = np.arange(len(pairs))
         elif candidates == "all":
-            if self.pair is None:
-                raise RuntimeError("fit() must run before candidates='all'")
-            targets = sorted(self.pair.kg2.entities)
-            index = {entity: i for i, entity in enumerate(targets)}
-            gold = np.array([index[b] for _, b in pairs], dtype=np.int64)
+            similarity, gold = self.nil_similarity(pairs, [], metric, csls_k)
         else:
             raise ValueError("candidates must be 'test' or 'all'")
-        similarity = self.similarity_between(sources, targets, metric, csls_k)
         return rank_metrics(similarity, gold, hits_at=hits_at)
 
     # ------------------------------------------------------------------
@@ -627,25 +643,29 @@ class EmbeddingApproach:
         dangling: list[str],
         metric: str | None = None,
         csls_k: int = 0,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[Iterator[tuple[int, np.ndarray]], np.ndarray]:
         """Similarity + NIL gold labels over the *full* KG2 candidate set.
 
         Rows are the matchable sources of ``pairs`` followed by the
         ``dangling`` sources (KG1 entities with no counterpart); columns
         are every KG2 entity.  ``gold[i]`` is the counterpart's column,
         or ``-1`` for dangling rows — the inputs
-        :func:`repro.alignment.evaluate.nil_aware_metrics` expects.
+        :func:`repro.alignment.evaluate.nil_aware_metrics` expects, with
+        the similarity as the slab stream of :meth:`similarity_slabs`.
         """
         if self.pair is None:
-            raise RuntimeError("fit() must run before nil_similarity()")
-        sources = [a for a, _ in pairs] + list(dangling)
-        targets = sorted(self.pair.kg2.entities)
+            raise RuntimeError("fit() must run before ranking all of KG2")
+        # KG2's entities plus the aligned ones that appear in no triple
+        # (an attribute-only pair loses some)
+        targets = sorted(self.pair.kg2.entities.union(
+            b for _, b in self.pair.alignment))
         index = {entity: i for i, entity in enumerate(targets)}
+        sources = [a for a, _ in pairs] + list(dangling)
         gold = np.array(
             [index[b] for _, b in pairs] + [-1] * len(dangling),
             dtype=np.int64,
         )
-        similarity = self.similarity_between(sources, targets, metric, csls_k)
+        similarity = self.similarity_slabs(sources, targets, metric, csls_k)
         return similarity, gold
 
     def calibrate_abstention(
@@ -675,9 +695,10 @@ class EmbeddingApproach:
         fine for smoke checks; proper evaluation calibrates on a
         disjoint split via :meth:`calibrate_abstention` first.
         """
-        similarity, gold = self.nil_similarity(pairs, dangling, metric, csls_k)
         if threshold is None:
-            threshold = calibrate_abstention(similarity, gold, method=method)
+            threshold = self.calibrate_abstention(pairs, dangling, method,
+                                                  metric, csls_k)
+        similarity, gold = self.nil_similarity(pairs, dangling, metric, csls_k)
         return nil_aware_metrics(
             similarity, gold, method=method, threshold=threshold
         )

@@ -361,8 +361,10 @@ class UnifiedTransApproach(EmbeddingApproach):
         if names:
             sources = list(names)
             targets = [names[s] for s in sources]
-            similarity = self.similarity_between(sources, targets, metric="cosine")
-            scores = similarity[np.arange(len(sources)), np.arange(len(sources))]
+            # each proposed pair's cosine, row by row
+            scores = (normalize_rows(self._source_matrix(sources))
+                      * normalize_rows(self._target_matrix(targets))
+                      ).sum(axis=1)
             for source, target, score in sorted(
                 zip(sources, targets, scores), key=lambda x: -x[2]
             ):

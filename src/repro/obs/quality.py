@@ -43,8 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..alignment import greedy_alignment, similarity_blocks
 from ..alignment.evaluate import sample_candidate_indices, sampled_rank_metrics
-from ..alignment.metrics import similarity_matrix
 from ..autodiff.sparse import SparseGrad
 from .live import append_jsonl, open_bus, report_progress
 from .registry import get_registry
@@ -381,8 +381,8 @@ def _embedding_health(approach, sources, targets, prev_matrix):
     # nearest-neighbour collapse: fraction of sources whose NN target is
     # shared with another source (1 - unique/k); embeddings collapsing to
     # a point drive this toward 1.  Reuses the matrices built above.
-    similarity = similarity_matrix(source, target, approach.info.metric)
-    nearest = np.asarray(similarity).argmax(axis=1)
+    nearest = greedy_alignment(
+        similarity_blocks(source, target, metric=approach.info.metric))
     collapse = 1.0 - len(np.unique(nearest)) / float(len(sources))
     return {
         "norm_mean": norm_mean,

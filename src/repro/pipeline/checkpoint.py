@@ -13,32 +13,48 @@ from pathlib import Path
 
 import numpy as np
 
-from ..alignment import csls as csls_rescale
-from ..alignment import infer_alignment, rank_metrics, similarity_matrix
-from ..approaches.base import EmbeddingApproach
+from ..approaches.base import ApproachInfo, EmbeddingApproach
 from ..faults import atomic_write_with
 
 __all__ = ["EmbeddingSnapshot", "save_snapshot", "load_snapshot"]
 
 
-class EmbeddingSnapshot:
-    """Frozen source/target embeddings with the alignment-module API."""
+class EmbeddingSnapshot(EmbeddingApproach):
+    """Frozen source/target embeddings with the alignment-module API: an
+    approach whose embedding module is a row lookup (it cannot be fit).
+    Float64 matrices are kept as given, so a mapped store stays mapped."""
 
     def __init__(self, sources: list[str], source_matrix: np.ndarray,
                  targets: list[str], target_matrix: np.ndarray,
                  metric: str = "cosine", name: str = "snapshot"):
+        super().__init__()
         if len(sources) != len(source_matrix):
             raise ValueError("source names and matrix rows disagree")
         if len(targets) != len(target_matrix):
             raise ValueError("target names and matrix rows disagree")
         self.sources = list(sources)
         self.targets = list(targets)
-        self.source_matrix = np.asarray(source_matrix, dtype=np.float64)
-        self.target_matrix = np.asarray(target_matrix, dtype=np.float64)
+        self.source_matrix = np.asanyarray(source_matrix, dtype=np.float64)
+        self.target_matrix = np.asanyarray(target_matrix, dtype=np.float64)
         self.metric = metric
         self.name = name
         self._source_row = {entity: i for i, entity in enumerate(self.sources)}
         self._target_row = {entity: i for i, entity in enumerate(self.targets)}
+
+    @property
+    def info(self) -> ApproachInfo:
+        return ApproachInfo(name=self.name, relation_embedding="-",
+                            attribute_embedding="-", metric=self.metric,
+                            combination="-", learning="-")
+
+    def source_row(self, entity: str) -> int:
+        return self._source_row[entity]
+
+    def _source_matrix(self, entities: list[str]) -> np.ndarray:
+        return self.source_matrix[[self._source_row[e] for e in entities]]
+
+    def _target_matrix(self, entities: list[str]) -> np.ndarray:
+        return self.target_matrix[[self._target_row[e] for e in entities]]
 
     @classmethod
     def from_approach(
@@ -54,37 +70,6 @@ class EmbeddingSnapshot:
             metric=approach.info.metric,
             name=name or approach.info.name,
         )
-
-    # ------------------------------------------------------------------
-    def similarity_between(self, sources, targets, metric=None, csls_k=0):
-        """Similarity matrix between named entities (snapshot rows)."""
-        matrix = similarity_matrix(
-            self.source_matrix[[self._source_row[e] for e in sources]],
-            self.target_matrix[[self._target_row[e] for e in targets]],
-            metric or self.metric,
-        )
-        if csls_k > 0:
-            matrix = csls_rescale(matrix, k=csls_k)
-        return matrix
-
-    def evaluate(self, pairs, hits_at=(1, 5, 10), metric=None, csls_k=0):
-        """Rank metrics over ``pairs`` (targets are the candidate set)."""
-        sources = [a for a, _ in pairs]
-        targets = [b for _, b in pairs]
-        similarity = self.similarity_between(sources, targets, metric, csls_k)
-        return rank_metrics(similarity, np.arange(len(pairs)), hits_at=hits_at)
-
-    def predict(self, pairs, strategy="greedy", metric=None, csls_k=0):
-        """Predicted alignment over the entities of ``pairs``."""
-        sources = [a for a, _ in pairs]
-        targets = [b for _, b in pairs]
-        similarity = self.similarity_between(sources, targets, metric, csls_k)
-        assignment = infer_alignment(similarity, strategy)
-        return [
-            (source, targets[int(j)])
-            for source, j in zip(sources, assignment)
-            if j >= 0
-        ]
 
 
 def save_snapshot(snapshot: EmbeddingSnapshot, path: Path | str) -> None:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,44 +38,18 @@ _SOURCE = "source_matrix.npy"
 _TARGET = "target_matrix.npy"
 
 
-@dataclass
-class StoredEmbeddings:
-    """One loaded store version; matrices may be ``np.memmap`` views."""
+class StoredEmbeddings(EmbeddingSnapshot):
+    """One loaded store version, whose matrices may be ``np.memmap``
+    views: a snapshot with its version id and manifest metadata."""
 
-    version: str
-    sources: list[str]
-    targets: list[str]
-    source_matrix: np.ndarray
-    target_matrix: np.ndarray
-    metric: str = "cosine"
-    name: str = "snapshot"
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(self.sources) != len(self.source_matrix):
-            raise ValueError("source names and matrix rows disagree")
-        if len(self.targets) != len(self.target_matrix):
-            raise ValueError("target names and matrix rows disagree")
-        self._source_row = {e: i for i, e in enumerate(self.sources)}
-        self._target_row = {e: i for i, e in enumerate(self.targets)}
-
-    def source_row(self, entity: str) -> int:
-        return self._source_row[entity]
-
-    def target_row(self, entity: str) -> int:
-        return self._target_row[entity]
-
-    @property
-    def dim(self) -> int:
-        return int(self.source_matrix.shape[1])
-
-    def snapshot(self) -> EmbeddingSnapshot:
-        """Materialize as an in-memory :class:`EmbeddingSnapshot`."""
-        return EmbeddingSnapshot(
-            self.sources, np.asarray(self.source_matrix),
-            self.targets, np.asarray(self.target_matrix),
-            metric=self.metric, name=self.name,
-        )
+    def __init__(self, version: str, sources: list[str], targets: list[str],
+                 source_matrix: np.ndarray, target_matrix: np.ndarray,
+                 metric: str = "cosine", name: str = "snapshot",
+                 metadata: dict | None = None):
+        super().__init__(sources, source_matrix, targets, target_matrix,
+                         metric=metric, name=name)
+        self.version = version
+        self.metadata = dict(metadata or {})
 
 
 class StoreCorruption(RuntimeError):

@@ -202,3 +202,27 @@ def test_evaluate_all_candidates_is_harder(enfr_pair, enfr_split, fast_config):
     assert full.mr >= compact.mr - 1e-9
     with pytest.raises(ValueError):
         approach.evaluate(enfr_split.test, candidates="everything")
+
+
+@pytest.mark.parametrize("name", ["AttrE", "IMUSE", "MultiKE", "GCNAlign"])
+def test_all_candidates_include_aligned_entities_without_triples(name):
+    """Table 8's attribute-only pair: some aligned KG2 entities have no
+    attribute triple, so they are not in ``kg2.entities``; ranking
+    against all of KG2 and NIL calibration must still find them."""
+    from repro.datagen import benchmark_pair
+
+    pair = benchmark_pair("EN-FR", size=300, seed=0,
+                          method="direct").without_relations()
+    split = pair.split(train_ratio=0.3, valid_ratio=0.1, seed=0)
+    orphans = {b for _, b in pair.alignment} - pair.kg2.entities
+    # the case under test: some test and validation targets are orphans
+    assert orphans & {b for _, b in split.test}
+    assert orphans & {b for _, b in split.valid}
+    approach = get_approach(name, ApproachConfig(dim=8, epochs=1,
+                                                 valid_every=0))
+    approach.fit(pair, split)
+    metrics = approach.evaluate(split.test, candidates="all")
+    assert metrics.n == len(split.test)
+    threshold = approach.calibrate_abstention(split.valid, [])
+    nil = approach.evaluate_dangling(split.test, [], threshold=threshold)
+    assert nil.n_matchable == len(split.test)

@@ -248,7 +248,7 @@ def test_engine_micro_batching_and_latency(stored):
 def test_engine_agrees_with_snapshot_similarity(stored):
     # exact serving must reproduce the offline similarity ranking
     engine = QueryEngine(stored, index="exact", k=1)
-    similarity = stored.snapshot().similarity_between(
+    similarity = stored.similarity_between(
         stored.sources[:100], stored.targets)
     offline_best = similarity.argmax(axis=1)
     for result, j in zip(engine.query_batch(stored.sources[:100]),

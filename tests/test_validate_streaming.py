@@ -9,7 +9,7 @@ from repro.alignment import (
     cosine_similarity,
     csls,
     greedy_alignment,
-    streaming_greedy_alignment,
+    similarity_blocks,
     topk_similarity,
 )
 from repro.cli import main
@@ -119,7 +119,8 @@ def test_topk_rejects_bad_k():
 def test_streaming_greedy_matches_dense():
     rng = np.random.default_rng(2)
     source, target = rng.normal(size=(40, 8)), rng.normal(size=(60, 8))
-    streamed = streaming_greedy_alignment(source, target, block=7)
+    streamed = greedy_alignment(
+        similarity_blocks(source, target, block=7, metric="cosine"))
     dense = greedy_alignment(cosine_similarity(source, target))
     np.testing.assert_array_equal(streamed, dense)
 
@@ -129,6 +130,7 @@ def test_streaming_greedy_matches_dense():
 def test_streaming_csls_matches_dense_csls(seed, k):
     rng = np.random.default_rng(seed)
     source, target = rng.normal(size=(20, 6)), rng.normal(size=(25, 6))
-    streamed = streaming_greedy_alignment(source, target, block=6, csls_k=k)
+    streamed = greedy_alignment(similarity_blocks(
+        source, target, block=6, metric="cosine", csls_k=k))
     dense = greedy_alignment(csls(cosine_similarity(source, target), k=k))
     np.testing.assert_array_equal(streamed, dense)

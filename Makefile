@@ -116,8 +116,8 @@ e2e-compare:
 	done
 	python3 benchmarks/e2e/run.py --compare $(E2E_BASE) $(E2E_OUT)
 
-# behaviour-preservation digests (benchmarks/digest_table.py, a few
-# minutes): final parameters, loss curve, validation, augmentation and
+# behaviour-preservation digests (benchmarks/digest_table.py, about
+# half a minute): final parameters, loss curve, validation, augmentation and
 # alignment-module outputs of every approach on EN-FR 300.  A refactor
 # that must not change results prints the same tables before and after.
 digests:

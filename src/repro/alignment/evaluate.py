@@ -226,7 +226,7 @@ def nil_aware_metrics(
     similarity: np.ndarray | Slabs,
     gold: np.ndarray,
     method: str = "threshold",
-    threshold: float = 0.0,
+    threshold: float | None = 0.0,
 ) -> DanglingMetrics:
     """Score an abstention policy against NIL ground truth.
 
@@ -234,11 +234,14 @@ def nil_aware_metrics(
     or ``-1`` when the source is dangling (has no counterpart among the
     candidates).  A source *abstains* when its signal — top-1 score for
     ``method="threshold"``, top-1/top-2 margin for ``method="margin"`` —
-    falls below ``threshold``.
+    falls below ``threshold``; ``None`` calibrates it in-sample, as
+    :func:`calibrate_abstention` would on the same inputs.
     """
     gold = np.asarray(gold, dtype=np.int64)
-    return _nil_metrics(*_signal(similarity, method, gold), gold, method,
-                        threshold)
+    scores, signal = _signal(similarity, method, gold)
+    if threshold is None:
+        threshold = _calibrated(signal, gold)
+    return _nil_metrics(scores, signal, gold, method, threshold)
 
 
 def _nil_metrics(scores: RowScores, signal: np.ndarray, gold: np.ndarray,
@@ -293,7 +296,12 @@ def calibrate_abstention(
     the matchable signals — abstain on the least-confident tail.
     """
     gold = np.asarray(gold, dtype=np.int64)
-    _, signal = _signal(similarity, method)
+    return _calibrated(_signal(similarity, method)[1], gold,
+                       fallback_quantile)
+
+
+def _calibrated(signal: np.ndarray, gold: np.ndarray,
+                fallback_quantile: float = 0.05) -> float:
     dangling = gold < 0
     if signal.size == 0:
         return 0.0

@@ -75,6 +75,5 @@ def csls(similarity: np.ndarray, k: int = 10) -> np.ndarray:
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    (_, adjusted), = _csls(lambda: [(0, similarity)],
-                           lambda: [(0, similarity.T)], *similarity.shape, k)
+    (_, adjusted), = _csls(lambda: [(0, similarity)], *similarity.shape, k)
     return adjusted

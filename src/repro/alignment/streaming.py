@@ -6,10 +6,12 @@ memory bounded instead: :func:`similarity_blocks` yields the similarity
 under a metric, optionally CSLS-adjusted, one row slab at a time, and
 every consumer reduces a slab before the next one is built.  The
 reductions are per-row scores (:func:`row_scores`: evaluation, NIL
-calibration, greedy and mutual-nearest inference), per-source top-k
+calibration, greedy inference), per-source top-k
 (:func:`topk_similarity`) and the neighbour lists of BootEA's truncated
-negatives (``TruncatedSampler.refresh``).  The dense functions of
-:mod:`repro.alignment.metrics` are the same code over one slab.
+negatives (``TruncatedSampler.refresh``); mutual-nearest inference keeps
+its own loop, as it also tracks the running column maximum.  The dense
+functions of :mod:`repro.alignment.metrics` are the same code over one
+slab.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ def similarity_blocks(
     if csls_k > 0:
         yield from _csls(
             lambda: similarity_blocks(source, target, block, metric),
-            lambda: similarity_blocks(target, source, block, metric),
             len(source), len(target), csls_k)
         return
     if metric == "cosine":
@@ -78,8 +79,8 @@ def similarity_blocks(
     for start in range(0, len(source), rows):
         part = source[start:start + rows]
         if metric == "manhattan":
-            yield start, -np.abs(
-                part[:, None, :] - target[None, :, :]).sum(axis=2)
+            diff = part[:, None, :] - target[None, :, :]
+            yield start, -np.abs(diff, out=diff).sum(axis=2)
         elif metric == "euclidean":
             squared = source_sq[start:start + rows] + target_sq \
                 - 2.0 * part @ target_t
@@ -88,23 +89,32 @@ def similarity_blocks(
             yield start, part @ target_t
 
 
-def _csls(slabs, slabs_t, n: int, m: int, k: int) -> Iterator:
+def _csls(slabs, n: int, m: int, k: int) -> Iterator:
     """CSLS (Eq. 7) of a slab stream: ``2 sim(s, t) - psi_t(s) - psi_s(t)``,
-    where ``psi`` is the mean of the k largest scores of a row of the
-    similarity (``slabs()``) or of its transpose (``slabs_t()``)."""
+    where ``psi`` is the mean of the k largest scores of a row or of a
+    column of the similarity.  One pass over ``slabs()`` takes the row
+    top-k and keeps the column top-k seen so far; a second yields."""
     if n == 0 or m == 0:
         yield from slabs()
         return
-    psi_source, psi_target = np.empty(n), np.empty(m)
-    for psi, stream in ((psi_source, slabs()), (psi_target, slabs_t())):
-        for start, slab in stream:
-            top = min(k, slab.shape[1])
-            psi[start:start + len(slab)] = np.partition(
-                slab, -top, axis=1)[:, -top:].mean(axis=1)
+    k_row, k_col = min(k, m), min(k, n)
+    psi_source, top = np.empty(n), None
+    for start, slab in slabs():
+        psi_source[start:start + len(slab)] = np.partition(
+            slab, -k_row, axis=1)[:, -k_row:].mean(axis=1)
+        slab_top = _column_top(slab, k_col)
+        top = slab_top if top is None else _column_top(
+            np.concatenate((top, slab_top)), k_col)
+    psi_target = top.mean(axis=0)
     for start, slab in slabs():
         stop = start + len(slab)
         yield start, (2.0 * slab - psi_source[start:stop, None]
                       - psi_target[None, :])
+
+
+def _column_top(x: np.ndarray, k: int) -> np.ndarray:
+    """The k largest entries of each column (every row when fewer)."""
+    return np.partition(x, -min(k, len(x)), axis=0)[-k:]
 
 
 @dataclass(frozen=True)

@@ -691,13 +691,11 @@ class EmbeddingApproach:
     ) -> DanglingMetrics:
         """NIL-aware metrics on held-out matchable + dangling sources.
 
-        With ``threshold=None`` the threshold is calibrated in-sample —
-        fine for smoke checks; proper evaluation calibrates on a
-        disjoint split via :meth:`calibrate_abstention` first.
+        With ``threshold=None`` the threshold is calibrated in-sample, on
+        the same scores — fine for smoke checks; proper evaluation
+        calibrates on a disjoint split via :meth:`calibrate_abstention`
+        first.
         """
-        if threshold is None:
-            threshold = self.calibrate_abstention(pairs, dangling, method,
-                                                  metric, csls_k)
         similarity, gold = self.nil_similarity(pairs, dangling, metric, csls_k)
         return nil_aware_metrics(
             similarity, gold, method=method, threshold=threshold

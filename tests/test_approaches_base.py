@@ -204,6 +204,24 @@ def test_evaluate_all_candidates_is_harder(enfr_pair, enfr_split, fast_config):
         approach.evaluate(enfr_split.test, candidates="everything")
 
 
+def test_evaluate_dangling_calibrates_in_sample_from_one_stream(
+        enfr_pair, enfr_split, fast_config, monkeypatch):
+    """``threshold=None`` scores all of KG2 once and matches calibrating
+    on the same sources first."""
+    approach = get_approach("MTransE", fast_config)
+    approach.fit(enfr_pair, enfr_split)
+    dangling = [a for a, _ in enfr_split.train[:5]]
+    streams = []
+    slabs = approach.similarity_slabs
+    monkeypatch.setattr(approach, "similarity_slabs",
+                        lambda *args: streams.append(args) or slabs(*args))
+    in_sample = approach.evaluate_dangling(enfr_split.test, dangling)
+    assert len(streams) == 1
+    threshold = approach.calibrate_abstention(enfr_split.test, dangling)
+    assert in_sample == approach.evaluate_dangling(
+        enfr_split.test, dangling, threshold=threshold)
+
+
 @pytest.mark.parametrize("name", ["AttrE", "IMUSE", "MultiKE", "GCNAlign"])
 def test_all_candidates_include_aligned_entities_without_triples(name):
     """Table 8's attribute-only pair: some aligned KG2 entities have no

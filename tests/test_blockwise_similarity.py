@@ -28,6 +28,7 @@ from repro.alignment import (
     similarity_blocks,
     top_scores,
 )
+from repro.alignment import streaming
 from repro.alignment.streaming import SLAB_CELLS
 from repro.embedding import TruncatedSampler
 
@@ -293,6 +294,43 @@ def test_csls_slabs_and_greedy_match_dense_reference(scored, metric, block):
         greedy_alignment(similarity_blocks(source, target, block, metric,
                                            csls_k=5)),
         adjusted.argmax(axis=1))
+
+
+def test_csls_reads_the_similarity_twice(scored, monkeypatch):
+    """Both psi come from one pass over the rows (row top-k and a running
+    column top-k); a second pass yields the adjusted slabs."""
+    source, target, _ = scored
+    kernel, passes = streaming.similarity_blocks, []
+
+    def counted(*args, **kwargs):
+        passes.append(args[0] is source)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(streaming, "similarity_blocks", counted)
+    list(kernel(source, target, 7, "manhattan", csls_k=5))
+    assert passes == [True, True]
+
+
+@pytest.mark.parametrize("method", ["threshold", "margin"])
+def test_in_sample_calibration_reads_the_stream_once(scored, method):
+    """``threshold=None`` calibrates on the scores it evaluates: one
+    reduction of the stream, the threshold ``calibrate_abstention``
+    picks from the same inputs."""
+    source, target, gold = scored
+    starts = []
+
+    def stream():
+        for start, slab in similarity_blocks(source, target, 7, "cosine"):
+            starts.append(start)
+            yield start, slab
+
+    nil = nil_aware_metrics(stream(), gold, method=method, threshold=None)
+    assert starts == [0, 7, 14, 21]
+    threshold = calibrate_abstention(
+        similarity_blocks(source, target, 7, "cosine"), gold, method=method)
+    assert nil == nil_aware_metrics(
+        similarity_blocks(source, target, 7, "cosine"), gold, method=method,
+        threshold=threshold)
 
 
 @pytest.mark.parametrize("metric", METRIC_NAMES)

@@ -144,7 +144,10 @@ tables:
 	PYTHONPATH=src python -m repro.cli obs-gate \
 		--ledger benchmarks/reports/ledger.jsonl --sweep tables
 
+# every script under examples/ (about 20 s), stopping at the first
+# that fails
 examples:
-	for f in examples/*.py; do echo "== $$f"; python $$f; done
+	for f in examples/*.py; do echo "== $$f"; \
+		PYTHONPATH=src python $$f || exit 1; done
 
 all: test bench

@@ -3,6 +3,7 @@
 from .blocking import HyperplaneLSH, blocked_greedy_alignment
 from .streaming import (
     RowScores,
+    SimilarityRows,
     row_scores,
     similarity_blocks,
     topk_similarity,
@@ -50,5 +51,6 @@ __all__ = [
     "DanglingMetrics", "nil_aware_metrics", "calibrate_abstention",
     "abstention_curve",
     "HyperplaneLSH", "blocked_greedy_alignment",
-    "similarity_blocks", "topk_similarity", "row_scores", "RowScores",
+    "similarity_blocks", "SimilarityRows", "topk_similarity", "row_scores",
+    "RowScores",
 ]

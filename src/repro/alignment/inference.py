@@ -1,11 +1,17 @@
 """Alignment inference strategies (§2.2.2).
 
-Given a source-by-target similarity matrix, produce a predicted alignment:
+Given a source-by-target similarity, produce a predicted alignment:
 
 * **greedy** nearest-neighbor search — what every surveyed approach uses;
 * **stable marriage** — the Gale-Shapley strategy evaluated in Table 6;
 * **Kuhn-Munkres** (Hungarian) — the collective O(N^3) strategy, solved
-  with :func:`scipy.optimize.linear_sum_assignment`.
+  with :func:`scipy.optimize.linear_sum_assignment`;
+* a **heuristic** matching between greedy and the collective ones.
+
+Hungarian takes a matrix.  The others also take the similarity as
+:class:`~repro.alignment.streaming.SimilarityRows` and never build the
+whole matrix: they reduce one slab at a time into per-row state (a
+matrix is read as slab-sized row views).
 
 Every strategy can additionally *abstain*: with ``min_score`` /
 ``min_margin`` set, low-confidence sources are mapped to ``-1`` (NIL)
@@ -19,7 +25,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .streaming import Slabs, row_scores, similarity_blocks
+from .streaming import (SLAB_CELLS, SimilarityRows, Slabs, _top_k,
+                        row_scores, similarity_blocks)
 
 __all__ = [
     "greedy_alignment",
@@ -76,71 +83,166 @@ def greedy_alignment(
     )
 
 
+# Targets per source in a stable-marriage preference list.  Most
+# sources settle within the first few, a few propose thousands deep (one
+# of pipeline-5k's 2,509 test sources, 2,020).  Of 8 to 128, 32 ran
+# fastest or within noise of it in every metric (docs/performance.md,
+# "Bounded-memory similarity").
+PREFERENCE_DEPTH = 32
+
+
 def stable_marriage(
-    similarity: np.ndarray,
+    similarity: np.ndarray | SimilarityRows,
     min_score: float | None = None,
     min_margin: float | None = None,
 ) -> np.ndarray:
     """Gale-Shapley stable matching; sources propose, targets accept/reject.
 
+    A source proposes by decreasing score, then by lower column.  A
+    target compares the scores its proposers carried and keeps its
+    holder on a tie.  Without tied scores the source-optimal stable
+    matching does not depend on the order of proposals, so another
+    implementation can come out differently only where scores tie.
+
+    Each source's preference list holds its first ``PREFERENCE_DEPTH``
+    targets, taken in one read of the similarity (two with CSLS).  A
+    source that runs out of its list is parked; when no source is free,
+    only the parked rows are read again, for their next targets.  A
+    matrix is read as slab-sized row views and left unmodified;
+    abstention under ``min_score`` / ``min_margin`` needs the matrix.
+
     Returns, per source row, the matched target index, or -1 for sources
     left unmatched (only possible when there are more sources than
     targets) or abstaining under ``min_score`` / ``min_margin``.
     """
-    n_source, n_target = similarity.shape
-    # Preference lists: targets in decreasing similarity per source.
-    preference = np.argsort(-similarity, axis=1)
-    next_choice = np.zeros(n_source, dtype=np.int64)
-    match_of_target = np.full(n_target, -1, dtype=np.int64)
-    match_of_source = np.full(n_source, -1, dtype=np.int64)
+    rows = _readable(similarity)
+    n_source, n_target = rows.shape
+    match = np.full(n_source, -1, dtype=np.int64)
+    if n_target == 0:
+        return match
+    depth = min(PREFERENCE_DEPTH, n_target)
+    targets, carried = [], []  # per source: its list and the scores
+    for _, slab in rows:
+        columns, scores = _preferences(np.negative(slab), depth)
+        targets += columns.tolist()
+        carried += scores.tolist()
+    position = [0] * n_source       # next entry of the source's list
+    passed = [0] * n_source         # targets of its earlier lists
+    holder = [-1] * n_target
+    held = [0.0] * n_target
     free = list(range(n_source))
     while free:
-        source = free.pop()
-        while next_choice[source] < n_target:
-            target = int(preference[source, next_choice[source]])
-            next_choice[source] += 1
-            holder = match_of_target[target]
-            if holder == -1:
-                match_of_target[target] = source
-                match_of_source[source] = target
-                break
-            if similarity[source, target] > similarity[holder, target]:
-                match_of_target[target] = source
-                match_of_source[source] = target
-                match_of_source[holder] = -1
-                free.append(holder)
-                break
-    return apply_abstention(similarity, match_of_source, min_score, min_margin)
+        parked = []
+        while free:
+            source = free.pop()
+            options, scores = targets[source], carried[source]
+            for at in range(position[source], len(options)):
+                target = options[at]
+                current = holder[target]
+                if current == -1 or scores[at] > held[target]:
+                    holder[target], held[target] = source, scores[at]
+                    position[source] = at + 1
+                    if current != -1:
+                        free.append(current)
+                    break
+            else:
+                position[source] = len(options)
+                if passed[source] + len(options) < n_target:
+                    parked.append(source)
+        if parked:
+            # the parked rows share as many entries as the first lists
+            deeper = min(n_target, max(depth,
+                                       n_source * depth // len(parked)))
+            free = _refill(rows, np.sort(parked), targets, carried,
+                           position, passed, deeper)
+    holder = np.array(holder)
+    held_targets = np.flatnonzero(holder >= 0)
+    match[holder[held_targets]] = held_targets
+    return apply_abstention(similarity, match, min_score, min_margin)
 
 
-def heuristic_matching(similarity: np.ndarray) -> np.ndarray:
+def _preferences(negated: np.ndarray, depth: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first ``depth`` targets in preference order (decreasing
+    score, then lower column) and their scores, from negated scores."""
+    top, scores = _top_k(negated, depth)
+    cut = scores.min(axis=1)
+    # the partition keeps any of the targets tied at the cut; the
+    # preference order keeps the lowest columns
+    short = np.count_nonzero(negated <= -cut[:, None], axis=1) > depth
+    for row in np.flatnonzero(short):
+        ahead = np.flatnonzero(negated[row] < -cut[row])
+        tied = np.flatnonzero(negated[row] == -cut[row])
+        top[row] = np.concatenate((ahead, tied[:depth - len(ahead)]))
+        scores[row] = -negated[row, top[row]]
+    order = np.lexsort((top, -scores))
+    return (np.take_along_axis(top, order, axis=1),
+            np.take_along_axis(scores, order, axis=1))
+
+
+def _refill(rows, parked, targets, carried, position, passed, depth):
+    """Re-score the ``parked`` sources for the targets after the last of
+    their lists, in preference order; returns those with a new list."""
+    refilled = []
+    columns = np.arange(rows.shape[1])
+    for start, slab in rows.rows(parked):
+        chunk = parked[start:start + len(slab)].tolist()
+        last = np.array([carried[source][-1] for source in chunk])[:, None]
+        last_column = np.array([targets[source][-1]
+                                for source in chunk])[:, None]
+        after = (slab < last) | ((slab == last) & (columns > last_column))
+        remaining = np.count_nonzero(after, axis=1).tolist()
+        new, scores = _preferences(np.where(after, -slab, np.inf), depth)
+        for source, left, options, option_scores in zip(
+                chunk, remaining, new.tolist(), scores.tolist()):
+            passed[source] += len(targets[source])
+            position[source] = 0
+            targets[source] = options[:left]
+            carried[source] = option_scores[:left]
+            if left:
+                refilled.append(source)
+    return refilled[::-1]
+
+
+def heuristic_matching(similarity: np.ndarray | SimilarityRows) -> np.ndarray:
     """Near-linear-time collective matching (§2.2.2's heuristic option).
 
-    Sorts all mutual-nearest-neighbor candidates plus per-row maxima by
-    similarity and greedily commits conflict-free pairs — the classic
-    cheap approximation of maximum-weight bipartite matching.  Returns,
-    per source row, the matched target or -1.
+    Takes each row's best column and each column's best row (the first
+    on ties) from one read of the similarity, sorts these candidate
+    pairs by decreasing score (then by row, then by column) and greedily
+    commits conflict-free pairs — the classic cheap approximation of
+    maximum-weight bipartite matching.  Then the sources left over, in
+    ascending order, each take their best free target (the lowest column
+    on ties); only their rows are read again.  Returns, per source row,
+    the matched target or -1.
     """
-    n_source, n_target = similarity.shape
-    row_best = similarity.argmax(axis=1)
-    col_best = similarity.argmax(axis=0)
-    candidates = {(i, int(row_best[i])) for i in range(n_source)}
-    candidates.update((int(col_best[j]), j) for j in range(n_target))
-    ordered = sorted(candidates, key=lambda ij: -similarity[ij[0], ij[1]])
+    rows = _readable(similarity)
+    n_source, n_target = rows.shape
     result = np.full(n_source, -1, dtype=np.int64)
+    if n_source == 0 or n_target == 0:
+        return result
+    scores = row_scores(rows, columns=True)
+    # a column's best row adds a candidate unless that row's best is it
+    extra = np.flatnonzero(scores.column[scores.best_row]
+                           != np.arange(n_target))
+    sources = np.concatenate((np.arange(n_source), scores.best_row[extra]))
+    columns = np.concatenate((scores.column, extra))
+    order = np.lexsort((columns, sources,
+                        -np.concatenate((scores.best,
+                                         scores.column_best[extra]))))
     taken = np.zeros(n_target, dtype=bool)
-    for i, j in ordered:
+    for i, j in zip(sources[order].tolist(), columns[order].tolist()):
         if result[i] == -1 and not taken[j]:
             result[i] = j
             taken[j] = True
-    # second pass: unmatched sources take their best free target
-    for i in np.where(result == -1)[0]:
-        free = np.where(~taken)[0]
-        if free.size == 0:
-            break
-        j = free[int(similarity[i, free].argmax())]
-        result[i] = j
-        taken[j] = True
+    # second pass: as many sources as there are free targets, in order
+    left = np.flatnonzero(result == -1)[:n_target - taken.sum()]
+    for start, slab in rows.rows(left):
+        for i, row in zip(left[start:start + len(slab)], slab):
+            free = np.flatnonzero(~taken)
+            j = free[int(row[free].argmax())]
+            result[i] = j
+            taken[j] = True
     return result
 
 
@@ -153,39 +255,48 @@ def mutual_nearest(
     """``(row, column)`` pairs of each source row's nearest target row.
 
     Scores are ``source @ target.T`` (pass unit rows for cosine), reduced
-    slab by slab (:func:`~repro.alignment.streaming.similarity_blocks`),
-    so the full matrix is never built.  A pair is kept when its score
-    reaches ``threshold`` (if given) and, with ``mutual``, when the row
-    is also its column's nearest row (the first row wins ties) — the
-    proposal rule of self-training (BootEA, KDCoE) and of MUSE-style
-    Procrustes refinement.
+    slab by slab (:func:`~repro.alignment.streaming.row_scores` over
+    :func:`~repro.alignment.streaming.similarity_blocks`), so the full
+    matrix is never built.  A pair is kept when its score reaches
+    ``threshold`` (if given) and, with ``mutual``, when the row is also
+    its column's nearest row (the first row wins ties) — the proposal
+    rule of self-training (BootEA, KDCoE) and of MUSE-style Procrustes
+    refinement.
     """
     n, m = len(source), len(target)
     if n == 0 or m == 0:
         return []
-    best_for_row = np.empty(n, dtype=np.int64)
-    best_score = np.empty(n)
-    column_score = np.full(m, -np.inf)
-    best_for_column = np.zeros(m, dtype=np.int64)
-    columns = np.arange(m)
-    for start, sim in similarity_blocks(source, target):
-        stop = start + len(sim)
-        row_best = sim.argmax(axis=1)
-        best_for_row[start:stop] = row_best
-        best_score[start:stop] = sim[np.arange(len(sim)), row_best]
-        if mutual:
-            slab_best = sim.argmax(axis=0)
-            slab_score = sim[slab_best, columns]
-            # strictly greater: an earlier slab keeps a tied column
-            better = slab_score > column_score
-            column_score[better] = slab_score[better]
-            best_for_column[better] = start + slab_best[better]
+    scores = row_scores(similarity_blocks(source, target), columns=mutual)
     keep = np.ones(n, dtype=bool)
     if threshold is not None:
-        keep &= best_score >= threshold
+        keep &= scores.best >= threshold
     if mutual:
-        keep &= best_for_column[best_for_row] == np.arange(n)
-    return [(int(i), int(best_for_row[i])) for i in np.flatnonzero(keep)]
+        keep &= scores.best_row[scores.column] == np.arange(n)
+    return [(int(i), int(scores.column[i])) for i in np.flatnonzero(keep)]
+
+
+class _MatrixRows:
+    """A matrix read like :class:`SimilarityRows`: slab-sized row views,
+    and copies of the selected rows."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix, self.shape = matrix, matrix.shape
+
+    def __iter__(self):
+        return self.rows()
+
+    def rows(self, selection: np.ndarray | None = None):
+        height = max(1, SLAB_CELLS // max(self.shape[1], 1))
+        count = self.shape[0] if selection is None else len(selection)
+        for start in range(0, count, height):
+            stop = start + height
+            yield start, (self.matrix[start:stop] if selection is None
+                          else self.matrix[selection[start:stop]])
+
+
+def _readable(similarity: np.ndarray | SimilarityRows):
+    return (_MatrixRows(similarity) if isinstance(similarity, np.ndarray)
+            else similarity)
 
 
 def hungarian_alignment(similarity: np.ndarray) -> np.ndarray:
@@ -209,12 +320,13 @@ INFERENCE_STRATEGIES = {
 
 
 def infer_alignment(
-    similarity: np.ndarray,
+    similarity: np.ndarray | SimilarityRows,
     strategy: str = "greedy",
     min_score: float | None = None,
     min_margin: float | None = None,
 ) -> np.ndarray:
-    """Run a named inference strategy on a similarity matrix.
+    """Run a named inference strategy on a similarity: a matrix, or for
+    every strategy but ``"hungarian"`` a :class:`SimilarityRows`.
 
     ``min_score`` / ``min_margin`` enable abstention for *any* strategy:
     low-confidence sources come back as ``-1`` (NIL).

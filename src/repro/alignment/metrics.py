@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .streaming import _csls, normalize_rows, row_scores, similarity_blocks
+from .streaming import (_adjusted, _psi, normalize_rows, row_scores,
+                        similarity_blocks)
 
 __all__ = [
     "cosine_similarity",
@@ -75,5 +76,7 @@ def csls(similarity: np.ndarray, k: int = 10) -> np.ndarray:
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    (_, adjusted), = _csls(lambda: [(0, similarity)], *similarity.shape, k)
-    return adjusted
+    if 0 in similarity.shape:
+        return similarity
+    psi_source, psi_target = _psi([(0, similarity)], *similarity.shape, k)
+    return _adjusted(similarity, psi_source, psi_target)

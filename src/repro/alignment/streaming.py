@@ -6,12 +6,14 @@ memory bounded instead: :func:`similarity_blocks` yields the similarity
 under a metric, optionally CSLS-adjusted, one row slab at a time, and
 every consumer reduces a slab before the next one is built.  The
 reductions are per-row scores (:func:`row_scores`: evaluation, NIL
-calibration, greedy inference), per-source top-k
-(:func:`topk_similarity`) and the neighbour lists of BootEA's truncated
-negatives (``TruncatedSampler.refresh``); mutual-nearest inference keeps
-its own loop, as it also tracks the running column maximum.  The dense
-functions of :mod:`repro.alignment.metrics` are the same code over one
-slab.
+calibration, greedy inference, and with the running column maximum
+mutual-nearest proposals and the heuristic matching), per-source top-k
+(:func:`topk_similarity`, the preference lists of stable marriage) and
+the neighbour lists of BootEA's truncated negatives
+(``TruncatedSampler.refresh``).  :class:`SimilarityRows` is the stream a
+consumer reads more than once: all rows, then selected rows only.  The
+dense functions of :mod:`repro.alignment.metrics` are the same code over
+one slab.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["similarity_blocks", "topk_similarity", "row_scores",
-           "RowScores", "normalize_rows"]
+__all__ = ["similarity_blocks", "SimilarityRows", "topk_similarity",
+           "row_scores", "RowScores", "normalize_rows"]
 
 # Cells of one float64 slab (8 MiB) when the caller names no block.  A
 # sampler refresh at 4,457 entities ran fastest with slabs of this size
@@ -61,9 +63,7 @@ def similarity_blocks(
         raise KeyError(f"unknown metric {metric!r}; choose from "
                        f"{sorted(_METRICS)}")
     if csls_k > 0:
-        yield from _csls(
-            lambda: similarity_blocks(source, target, block, metric),
-            len(source), len(target), csls_k)
+        yield from SimilarityRows(source, target, block, metric, csls_k)
         return
     if metric == "cosine":
         source, target = normalize_rows(source), normalize_rows(target)
@@ -89,27 +89,74 @@ def similarity_blocks(
             yield start, part @ target_t
 
 
-def _csls(slabs, n: int, m: int, k: int) -> Iterator:
-    """CSLS (Eq. 7) of a slab stream: ``2 sim(s, t) - psi_t(s) - psi_s(t)``,
-    where ``psi`` is the mean of the k largest scores of a row or of a
-    column of the similarity.  One pass over ``slabs()`` takes the row
-    top-k and keeps the column top-k seen so far; a second yields."""
-    if n == 0 or m == 0:
-        yield from slabs()
-        return
+class SimilarityRows:
+    """The similarity of :func:`similarity_blocks` as a stream that can be
+    read again, whole or by rows.
+
+    Iterating yields ``(start, slab)`` over every row; :meth:`rows` over
+    selected source rows only.  With ``csls_k > 0`` the first read takes
+    ψ (Eq. 7) in a pass of its own and every later read reuses it, so a
+    consumer that re-reads a few rows does not rerun the metric over all
+    of them.
+    """
+
+    def __init__(self, source: np.ndarray, target: np.ndarray,
+                 block: int | None = None, metric: str | None = None,
+                 csls_k: int = 0):
+        self.shape = (len(source), len(target))
+        if metric == "cosine":  # unit rows once, not on every read
+            source, target, metric = (normalize_rows(source),
+                                      normalize_rows(target), None)
+        self.source, self.target = source, target
+        self.block, self.metric, self.csls_k = block, metric, csls_k
+        self._psi: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
+        return self.rows()
+
+    def rows(self, selection: np.ndarray | None = None
+             ) -> Iterator[tuple[int, np.ndarray]]:
+        """``(start, slab)`` over ``source[selection]`` (every row by
+        default): slab rows are ``selection[start:start + len(slab)]``."""
+        source = self.source if selection is None else self.source[selection]
+        slabs = similarity_blocks(source, self.target, self.block,
+                                  self.metric)
+        if self.csls_k <= 0 or 0 in self.shape:
+            yield from slabs
+            return
+        if self._psi is None:
+            self._psi = _psi(similarity_blocks(self.source, self.target,
+                                               self.block, self.metric),
+                             *self.shape, self.csls_k)
+        psi_source, psi_target = self._psi
+        if selection is not None:
+            psi_source = psi_source[selection]
+        for start, slab in slabs:
+            yield start, _adjusted(slab, psi_source[start:start + len(slab)],
+                                   psi_target)
+
+
+def _psi(slabs: Slabs, n: int, m: int, k: int
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """ψ of CSLS (Eq. 7) for the rows and for the columns of a slab
+    stream over ``n`` × ``m`` (both nonzero): the mean of the k largest
+    scores of each row and of each column.  One pass takes the row top-k
+    and keeps the column top-k seen so far."""
     k_row, k_col = min(k, m), min(k, n)
     psi_source, top = np.empty(n), None
-    for start, slab in slabs():
+    for start, slab in slabs:
         psi_source[start:start + len(slab)] = np.partition(
             slab, -k_row, axis=1)[:, -k_row:].mean(axis=1)
         slab_top = _column_top(slab, k_col)
         top = slab_top if top is None else _column_top(
             np.concatenate((top, slab_top)), k_col)
-    psi_target = top.mean(axis=0)
-    for start, slab in slabs():
-        stop = start + len(slab)
-        yield start, (2.0 * slab - psi_source[start:stop, None]
-                      - psi_target[None, :])
+    return psi_source, top.mean(axis=0)
+
+
+def _adjusted(slab: np.ndarray, psi_rows: np.ndarray,
+              psi_target: np.ndarray) -> np.ndarray:
+    """CSLS (Eq. 7): ``2 sim(s, t) - psi_t(s) - psi_s(t)``."""
+    return 2.0 * slab - psi_rows[:, None] - psi_target[None, :]
 
 
 def _column_top(x: np.ndarray, k: int) -> np.ndarray:
@@ -123,34 +170,41 @@ class RowScores:
     the top-1 ``column`` (the first on ties) and its score ``best``, the
     top-1/top-2 ``margin`` (``+inf`` with a single candidate) and the
     1-based ``rank`` of the gold column (one plus the number of strictly
-    greater scores; 0 where the gold column is -1)."""
+    greater scores; 0 where the gold column is -1).  Per column, when
+    asked for: the top-1 row ``best_row`` (the first on ties) and its
+    score ``column_best``."""
 
     column: np.ndarray
     best: np.ndarray
     margin: np.ndarray | None
     rank: np.ndarray | None
+    best_row: np.ndarray | None = None
+    column_best: np.ndarray | None = None
 
 
 def row_scores(
     similarity: np.ndarray | Slabs,
     gold: np.ndarray | None = None,
     margin: bool = False,
+    columns: bool = False,
 ) -> RowScores:
     """Reduce a matrix (one slab) or a :func:`similarity_blocks` stream
     over the same rows to :class:`RowScores`; margins only when asked
-    for, ranks only when ``gold`` gives each row's column."""
+    for, ranks only when ``gold`` gives each row's column, and the
+    running column maximum only with ``columns`` (empty without rows)."""
     if isinstance(similarity, np.ndarray):
         if gold is not None and len(similarity) != len(gold):
             raise ValueError(
                 f"{len(similarity)} rows but {len(gold)} gold labels")
         similarity = [(0, similarity)]
-    columns, bests, margins, ranks = [], [], [], []
+    tops, bests, margins, ranks = [], [], [], []
+    best_row, column_best = np.zeros(0, dtype=np.int64), np.zeros(0)
     for start, slab in similarity:
         n_rows, width = slab.shape
         rows = np.arange(n_rows)
         column = slab.argmax(axis=1) if width else np.full(n_rows, -1)
         best = slab[rows, column] if width else np.zeros(n_rows)
-        columns.append(column)
+        tops.append(column)
         bests.append(best)
         if margin:
             margins.append(best - np.partition(slab, -2, axis=1)[:, -2]
@@ -162,13 +216,25 @@ def row_scores(
                           else best)
             greater = (slab > gold_score[:, None]).sum(axis=1)
             ranks.append(np.where(slab_gold >= 0, 1 + greater, 0))
+        if columns and n_rows:
+            if start == 0:
+                column_best = np.full(width, -np.inf)
+                best_row = np.zeros(width, dtype=np.int64)
+            slab_best = slab.argmax(axis=0)
+            slab_score = slab[slab_best, np.arange(width)]
+            # strictly greater: an earlier slab keeps a tied column
+            better = slab_score > column_best
+            column_best[better] = slab_score[better]
+            best_row[better] = start + slab_best[better]
 
     def joined(parts, dtype=np.float64):
         return np.concatenate([np.zeros(0, dtype), *parts])
 
-    return RowScores(joined(columns, np.int64), joined(bests),
+    return RowScores(joined(tops, np.int64), joined(bests),
                      joined(margins) if margin else None,
-                     joined(ranks, np.int64) if gold is not None else None)
+                     joined(ranks, np.int64) if gold is not None else None,
+                     best_row if columns else None,
+                     column_best if columns else None)
 
 
 def topk_similarity(
@@ -191,10 +257,17 @@ def topk_similarity(
     scores = np.zeros((n, k))
     for start, sim in similarity_blocks(source, target, block, "cosine"):
         stop = start + len(sim)
-        np.negative(sim, out=sim)  # argpartition takes the lowest
-        top = np.argpartition(sim, k - 1, axis=1)[:, :k]
-        top_scores = -np.take_along_axis(sim, top, axis=1)
+        top, top_scores = _top_k(np.negative(sim, out=sim), k)
         order = np.argsort(-top_scores, axis=1)
         indices[start:stop] = np.take_along_axis(top, order, axis=1)
         scores[start:stop] = np.take_along_axis(top_scores, order, axis=1)
     return indices, scores
+
+
+def _top_k(negated: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and scores of each row's ``k`` largest scores, in no
+    particular order, given the negated scores (``argpartition`` takes
+    the lowest); which of the scores tied at the k-th are kept is
+    arbitrary."""
+    top = np.argpartition(negated, k - 1, axis=1)[:, :k]
+    return top, -np.take_along_axis(negated, top, axis=1)

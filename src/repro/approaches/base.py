@@ -19,7 +19,6 @@ batch size and early stopping when validation Hits@1 begins to drop
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from ..alignment import csls as csls_rescale
 from ..alignment import infer_alignment, rank_metrics, similarity_matrix
-from ..alignment import similarity_blocks
+from ..alignment import SimilarityRows
 from ..alignment.evaluate import (
     DanglingMetrics,
     RankMetrics,
@@ -578,10 +577,11 @@ class EmbeddingApproach:
         targets: list[str],
         metric: str | None = None,
         csls_k: int = 0,
-    ) -> Iterator[tuple[int, np.ndarray]]:
+    ) -> SimilarityRows:
         """:meth:`similarity_between`'s matrix as the ``(start, slab)``
-        stream of :func:`~repro.alignment.similarity_blocks`."""
-        return similarity_blocks(
+        stream of :func:`~repro.alignment.similarity_blocks`, which can
+        be read again by rows (:class:`~repro.alignment.SimilarityRows`)."""
+        return SimilarityRows(
             self._source_matrix(sources),
             self._target_matrix(targets),
             metric=metric or self.info.metric,
@@ -598,9 +598,9 @@ class EmbeddingApproach:
         """Predicted alignment over the entities of ``pairs``."""
         sources = [a for a, _ in pairs]
         targets = [b for _, b in pairs]
-        # only the global 1-to-1 strategies need the whole matrix
-        similarity = (self.similarity_slabs if strategy == "greedy"
-                      else self.similarity_between)(
+        # only the Hungarian assignment needs the whole matrix
+        similarity = (self.similarity_between if strategy == "hungarian"
+                      else self.similarity_slabs)(
             sources, targets, metric, csls_k)
         assignment = infer_alignment(similarity, strategy)
         return [
@@ -643,7 +643,7 @@ class EmbeddingApproach:
         dangling: list[str],
         metric: str | None = None,
         csls_k: int = 0,
-    ) -> tuple[Iterator[tuple[int, np.ndarray]], np.ndarray]:
+    ) -> tuple[SimilarityRows, np.ndarray]:
         """Similarity + NIL gold labels over the *full* KG2 candidate set.
 
         Rows are the matchable sources of ``pairs`` followed by the

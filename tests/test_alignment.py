@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.alignment import (
+    INFERENCE_STRATEGIES,
     PRF,
     cosine_similarity,
     csls,
@@ -164,6 +165,22 @@ def test_infer_alignment_dispatch():
     assert infer_alignment(sim, "greedy").tolist() == [0, 1, 2]
     with pytest.raises(KeyError):
         infer_alignment(sim, "psychic")
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+@pytest.mark.parametrize("strategy", sorted(INFERENCE_STRATEGIES))
+def test_every_strategy_takes_an_empty_similarity(strategy, shape):
+    result = infer_alignment(np.zeros(shape), strategy)
+    assert result.dtype == np.int64
+    assert result.tolist() == [-1] * shape[0]
+
+
+def test_stable_marriage_prefers_the_lower_column_on_ties():
+    # both sources rank targets 0 and 1 alike; target 0 holds source 1
+    # (the higher score), and source 0 takes target 1 after it
+    sim = np.array([[0.5, 0.5, 0.1],
+                    [0.9, 0.9, 0.1]])
+    assert stable_marriage(sim).tolist() == [1, 0]
 
 
 def test_hungarian_beats_or_ties_greedy_on_total():

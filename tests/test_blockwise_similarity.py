@@ -2,7 +2,8 @@
 
 ``similarity_blocks`` yields row slabs of the similarity under a metric,
 optionally CSLS-adjusted; the sampler refresh, ``mutual_nearest``, the
-per-row scores behind evaluation, NIL calibration and greedy inference
+per-row scores behind evaluation, NIL calibration and greedy inference,
+and the preference lists of stable marriage and the heuristic matching
 reduce slab by slab and must give what the dense formulas written out
 here give on the full matrix.
 """
@@ -18,17 +19,20 @@ import pytest
 
 import repro
 from repro.alignment import (
+    SimilarityRows,
     calibrate_abstention,
     greedy_alignment,
+    heuristic_matching,
     mutual_nearest,
     nil_aware_metrics,
     normalize_rows,
     rank_metrics,
     row_scores,
     similarity_blocks,
+    stable_marriage,
     top_scores,
 )
-from repro.alignment import streaming
+from repro.alignment import inference, streaming
 from repro.alignment.streaming import SLAB_CELLS
 from repro.embedding import TruncatedSampler
 
@@ -233,8 +237,13 @@ def test_row_scores_match_dense_reference(scored, metric, block):
     np.testing.assert_allclose(scores.margin, ordered[:, -1] - ordered[:, -2],
                                rtol=0, atol=1e-12)
     np.testing.assert_array_equal(scores.rank, _dense_ranks(dense, gold))
-    assert row_scores(similarity_blocks(source, target, block,
-                                        metric)).margin is None
+    plain = row_scores(similarity_blocks(source, target, block, metric))
+    assert plain.margin is None and plain.best_row is None
+    columns = row_scores(similarity_blocks(source, target, block, metric),
+                         columns=True)
+    np.testing.assert_array_equal(columns.best_row, dense.argmax(axis=0))
+    np.testing.assert_allclose(columns.column_best, dense.max(axis=0),
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("block", [1, 7, None])
@@ -427,13 +436,212 @@ def test_calibrate_abstention_matches_brute_force_sweep(method, seed):
 
 
 # ---------------------------------------------------------------------------
+# stable marriage and the heuristic matching over preference lists
+# ---------------------------------------------------------------------------
+def _dense_stable_marriage(similarity):
+    """Gale-Shapley over full argsort preference lists, the last free
+    source proposing first, as the dense implementation did."""
+    n_source, n_target = similarity.shape
+    preference = np.argsort(-similarity, axis=1)
+    next_choice = np.zeros(n_source, dtype=np.int64)
+    match_of_target = np.full(n_target, -1, dtype=np.int64)
+    match_of_source = np.full(n_source, -1, dtype=np.int64)
+    free = list(range(n_source))
+    while free:
+        source = free.pop()
+        while next_choice[source] < n_target:
+            target = int(preference[source, next_choice[source]])
+            next_choice[source] += 1
+            holder = match_of_target[target]
+            if holder == -1:
+                match_of_target[target] = source
+                match_of_source[source] = target
+                break
+            if similarity[source, target] > similarity[holder, target]:
+                match_of_target[target] = source
+                match_of_source[source] = target
+                match_of_source[holder] = -1
+                free.append(holder)
+                break
+    return match_of_source
+
+
+def _dense_heuristic(similarity):
+    """Row and column maxima as candidates, committed by decreasing
+    score; left-over sources in order take their best free target."""
+    n_source, n_target = similarity.shape
+    row_best = similarity.argmax(axis=1)
+    col_best = similarity.argmax(axis=0)
+    candidates = {(i, int(row_best[i])) for i in range(n_source)}
+    candidates.update((int(col_best[j]), j) for j in range(n_target))
+    ordered = sorted(candidates, key=lambda ij: -similarity[ij[0], ij[1]])
+    result = np.full(n_source, -1, dtype=np.int64)
+    taken = np.zeros(n_target, dtype=bool)
+    for i, j in ordered:
+        if result[i] == -1 and not taken[j]:
+            result[i] = j
+            taken[j] = True
+    for i in np.where(result == -1)[0]:
+        free = np.where(~taken)[0]
+        if free.size == 0:
+            break
+        j = free[int(similarity[i, free].argmax())]
+        result[i] = j
+        taken[j] = True
+    return result
+
+
+def _blocking_pairs(similarity, match):
+    """Pairs whose source and target both strictly prefer each other to
+    their matches (an unmatched target prefers anyone)."""
+    n_source, n_target = similarity.shape
+    matched = match >= 0
+    own = np.full(n_source, -np.inf)
+    own[matched] = similarity[np.flatnonzero(matched), match[matched]]
+    held = np.full(n_target, -np.inf)
+    held[match[matched]] = own[matched]
+    return int(((similarity > own[:, None])
+                & (similarity > held[None, :])).sum())
+
+
+SHAPES = {"square": (23, 23), "more sources": (23, 15),
+          "more targets": (15, 23)}
+
+
+@pytest.fixture(scope="module")
+def preference_vectors():
+    rng = np.random.default_rng(10)
+    return rng.normal(size=(23, 6)), rng.normal(size=(23, 6))
+
+
+@pytest.mark.parametrize("depth", [2, None])
+@pytest.mark.parametrize("csls_k", [0, 5])
+@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("metric", METRIC_NAMES)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_stable_marriage_and_heuristic_match_dense_reference(
+        preference_vectors, shape, metric, block, csls_k, depth, monkeypatch):
+    """Tie-free scores: the source-optimal stable matching does not
+    depend on the order of proposals, nor on the list depth (2 makes
+    most sources run out and be re-scored)."""
+    if depth:
+        monkeypatch.setattr(inference, "PREFERENCE_DEPTH", depth)
+    n, m = SHAPES[shape]
+    source, target = preference_vectors[0][:n], preference_vectors[1][:m]
+    dense = _dense_similarity(source, target, metric)
+    if csls_k:
+        dense = _dense_csls(dense, csls_k)
+    rows = SimilarityRows(source, target, block, metric, csls_k)
+    match = stable_marriage(rows)
+    np.testing.assert_array_equal(match, _dense_stable_marriage(dense))
+    assert (match >= 0).sum() == min(n, m)
+    np.testing.assert_array_equal(stable_marriage(dense), match)
+    np.testing.assert_array_equal(heuristic_matching(rows),
+                                  _dense_heuristic(dense))
+    np.testing.assert_array_equal(heuristic_matching(dense),
+                                  _dense_heuristic(dense))
+
+
+def _shared_order(n, m, seed):
+    """``n`` x ``m`` scores ``b_i - j``: every source ranks the targets
+    0, 1, 2, ... alike and every target ranks the sources by ``b``, so
+    the source with the k-th largest ``b`` settles k places deep."""
+    b = np.random.default_rng(seed).random(n)
+    return np.stack([b, np.ones(n)], axis=1), np.stack(
+        [np.ones(m), -np.arange(m, dtype=float)], axis=1)
+
+
+@pytest.mark.parametrize("n, m", [(30, 40), (40, 30)])
+def test_stable_marriage_refills_sources_that_run_out(n, m, monkeypatch):
+    monkeypatch.setattr(inference, "PREFERENCE_DEPTH", 1)
+    source, target = _shared_order(n, m, seed=11)
+    similarity = source @ target.T
+    match = stable_marriage(similarity)
+    expected = np.full(n, -1)
+    by_b = np.argsort(-source[:, 0])[:min(n, m)]
+    expected[by_b] = np.arange(len(by_b))
+    np.testing.assert_array_equal(match, expected)
+    np.testing.assert_array_equal(match, _dense_stable_marriage(similarity))
+    for block in (1, 7, None):
+        np.testing.assert_array_equal(
+            stable_marriage(SimilarityRows(source, target, block)), match)
+
+
+@pytest.mark.parametrize("csls_k", [0, 3])
+def test_stable_marriage_reads_all_rows_once_then_parked_rows(
+        csls_k, monkeypatch):
+    """One kernel pass over every row (two with CSLS: ψ, then the
+    adjusted scores), then passes over rows that ran out of their list
+    only, with the ψ of the first read."""
+    monkeypatch.setattr(inference, "PREFERENCE_DEPTH", 2)
+    source, target = _shared_order(30, 40, seed=12)
+    kernel, passes, selections = streaming.similarity_blocks, [], []
+
+    def counted(*args, **kwargs):
+        passes.append(len(args[0]))
+        return kernel(*args, **kwargs)
+
+    class Logged(SimilarityRows):
+        def rows(self, selection=None):
+            selections.append(selection)
+            return super().rows(selection)
+
+    monkeypatch.setattr(streaming, "similarity_blocks", counted)
+    match = stable_marriage(Logged(source, target, 7, csls_k=csls_k))
+    full = 2 if csls_k else 1
+    assert passes[:full] == [30] * full
+    assert selections[0] is None and len(selections) > 2
+    assert passes[full:] == [len(rows) for rows in selections[1:]]
+    # a re-read source ran out of its first two targets: it settles
+    # deeper, on a target it ranks third or later
+    dense = source @ target.T
+    if csls_k:
+        dense = _dense_csls(dense, csls_k)
+    order = np.argsort(-dense, axis=1)
+    for rows in selections[1:]:
+        assert 0 < len(rows) < 30 and (np.diff(rows) > 0).all()
+        for row in rows:
+            assert list(order[row]).index(match[row]) >= 2
+
+
+def test_stable_marriage_and_heuristic_leave_the_matrix_as_is(monkeypatch):
+    monkeypatch.setattr(inference, "PREFERENCE_DEPTH", 2)
+    similarity = np.random.default_rng(13).normal(size=(30, 20))
+    before = similarity.copy()
+    stable_marriage(similarity)
+    heuristic_matching(similarity)
+    np.testing.assert_array_equal(similarity, before)
+
+
+@pytest.mark.parametrize("depth", [1, 3, None])
+def test_stable_marriage_with_ties(depth, monkeypatch):
+    """Dyadic scores tie everywhere: the matching is one-to-one, has no
+    strictly blocking pair, and does not depend on the slab height."""
+    if depth:
+        monkeypatch.setattr(inference, "PREFERENCE_DEPTH", depth)
+    rng = np.random.default_rng(14)
+    source, target = _dyadic(rng, (40, 3)), _dyadic(rng, (30, 3))
+    similarity = source @ target.T
+    assert len(np.unique(similarity)) < 30
+    match = stable_marriage(similarity)
+    matched = match[match >= 0]
+    assert len(matched) == len(set(matched.tolist())) == 30
+    assert _blocking_pairs(similarity, match) == 0
+    for block in (1, 7, None):
+        np.testing.assert_array_equal(
+            stable_marriage(SimilarityRows(source, target, block)), match)
+
+
+# ---------------------------------------------------------------------------
 # memory: no reduction builds the |E| x |E| matrix
 # ---------------------------------------------------------------------------
 _PEAK_SCRIPT = """
 import json, resource, sys
 import numpy as np
-from repro.alignment import (mutual_nearest, nil_aware_metrics,
-                             normalize_rows, rank_metrics, similarity_blocks)
+from repro.alignment import (SimilarityRows, heuristic_matching,
+                             mutual_nearest, nil_aware_metrics,
+                             normalize_rows, rank_metrics, similarity_blocks,
+                             stable_marriage)
 from repro.embedding import TruncatedSampler
 
 rng = np.random.default_rng(0)
@@ -448,6 +656,12 @@ def reduce(n):
         TruncatedSampler(n).refresh(source[:n])
     elif sys.argv[1] == "mutual_nearest":
         mutual_nearest(source[:n], target[:n])
+    elif sys.argv[1] == "stable_marriage":
+        stable_marriage(SimilarityRows(source[:n], target[:n],
+                                       metric="cosine"))
+    elif sys.argv[1] == "heuristic":
+        heuristic_matching(SimilarityRows(source[:n], target[:n],
+                                          metric="cosine"))
     elif sys.argv[1] == "evaluate_dangling":
         nil_aware_metrics(similarity_blocks(source[:n], target[:n],
                                             metric="cosine"),
@@ -472,10 +686,12 @@ print(json.dumps((peak_kib() - before) / 1024))
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in KiB on Linux")
 @pytest.mark.parametrize("reduction", ["refresh", "mutual_nearest",
-                                       "evaluate_dangling", "evaluate_csls"])
+                                       "evaluate_dangling", "evaluate_csls",
+                                       "stable_marriage", "heuristic"])
 def test_reduction_peak_memory_is_bounded(reduction):
     """4,000 x 4,000 float64 is 122 MiB per dense temporary; one slab is
-    8 MiB, so the peak grows by well under 64 MB."""
+    8 MiB, so the peak grows by well under 64 MB.  Stable marriage also
+    holds its preference lists, 32 targets per source."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}

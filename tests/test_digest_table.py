@@ -35,5 +35,10 @@ def test_digest_table_for_one_approach(digest_table, capsys):
         assert DIGEST.fullmatch(row[2]) and DIGEST.fullmatch(row[3])
         assert int(row[5]) > 0  # steps_run
     (row,) = evaluation
+    assert row[-1].endswith(" |")
+    row[-1] = row[-1].removesuffix(" |")
+    assert len(row) == 10
     assert all(DIGEST.fullmatch(cell) for cell in row[1:5] + row[6:7])
     assert float(row[5]) == float(row[5])  # the NIL threshold is a number
+    # stable marriage with CSLS and the heuristic, after the NIL cells
+    assert all(DIGEST.fullmatch(cell) for cell in row[8:10])

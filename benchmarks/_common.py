@@ -13,8 +13,7 @@ Scale knobs (environment variables):
   bench in the process and write ``reports/events.jsonl`` (readable via
   ``repro obs-report``) plus ``reports/trace.json`` (chrome://tracing)
   at exit, and append one RunRecord per bench artifact to the run
-  ledger (``reports/ledger.jsonl``; see ``repro obs-ledger`` /
-  ``repro obs-gate``)
+  ledger (``reports/ledger.jsonl``; see ``repro obs-ledger``)
 * ``REPRO_LEDGER_PATH``  — override the ledger destination
 """
 
@@ -46,8 +45,8 @@ def _warn(message: str) -> None:
 def report_path(filename: str) -> Path:
     """The one place benchmark reports live: ``benchmarks/reports/``.
 
-    Every bench routes its artifacts through here so the ledger and the
-    perf gate have a single directory to look at.
+    Every bench routes its artifacts through here so the ledger and
+    readers of the reports have a single directory to look at.
     """
     try:
         REPORT_DIR.mkdir(parents=True, exist_ok=True)
@@ -121,8 +120,8 @@ def record_bench(name: str, scalars: dict | None = None) -> dict | None:
 
 
 def _bench_scalars(payload) -> dict:
-    """Headline numbers the perf gate reads, fished out of a JSON
-    report payload (defensive: absent keys mean fewer scalars)."""
+    """Headline numbers a bench's ledger record carries, fished out of
+    a JSON report payload (defensive: absent keys mean fewer scalars)."""
     scalars: dict = {}
     if not isinstance(payload, dict):
         return scalars

@@ -11,8 +11,8 @@ abstention threshold).
 The paper evaluates on datasets whose alignment is complete and exact;
 this bench quantifies how far each approach family degrades when that
 assumption is broken, and anchors the ledger with the smoke-gate
-recipe (easy pair + literal approach) whose dangling F1 the regression
-gate guards.
+recipe (easy pair + literal approach) whose dangling F1
+``repro robustness --check`` gates.
 """
 
 from functools import lru_cache
@@ -65,7 +65,7 @@ def _anchor() -> dict:
 
     This is the configuration ``repro robustness --check`` gates in CI
     (F1 >= 0.5, matchable Hits@1 within 5% of clean); the bench records
-    its scalars so `repro obs-gate` tracks drift across sessions.
+    its scalars so `repro obs-ledger` shows drift across sessions.
     """
     pair = smoke_pair(n_entities=400, seed=0, dangling_rate=0.2)
     split = pair.split(train_ratio=0.3, seed=0)

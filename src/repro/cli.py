@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 from .datagen import FAMILIES, benchmark_pair
@@ -230,29 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(full `name@fingerprint` id or just "
                                  "the sweep name)")
 
-    obs_gate = commands.add_parser(
-        "obs-gate",
-        help="compare the latest run against its ledger baseline; "
-             "exit 1 on regression",
-    )
-    obs_gate.add_argument("--ledger", type=Path, default=None)
-    obs_gate.add_argument("--run", default=None,
-                          help="run id to gate (default: latest)")
-    obs_gate.add_argument("--metric", action="append", default=[],
-                          help="metric to judge (repeatable; default: "
-                               "every known metric the run carries)")
-    obs_gate.add_argument("--n-baseline", type=int, default=5,
-                          help="trailing same-fingerprint runs to "
-                               "compare against (default 5)")
-    obs_gate.add_argument("--rel-threshold", type=float, default=None,
-                          help="override every metric's relative-change "
-                               "threshold (e.g. 0.1 for 10%%)")
-    obs_gate.add_argument("--json", action="store_true",
-                          help="print the machine-readable verdict")
-    obs_gate.add_argument("--sweep", default=None,
-                          help="gate within one sweep's records only "
-                               "(`name@fingerprint` id or sweep name)")
-
     obs_conformance = commands.add_parser(
         "obs-conformance",
         help="compare ledger CV/sweep records against the paper's "
@@ -277,20 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
              "table",
     )
     obs_quality.add_argument("quality_file", type=Path)
-
-    quality_smoke = commands.add_parser(
-        "quality-smoke",
-        help="end-to-end quality-observability check: probe-instrumented "
-             "tiny CV, a sentinel-tripped diverging run, and a "
-             "conformance report",
-    )
-    quality_smoke.add_argument("--out", type=Path, default=Path("quality_smoke"))
-    quality_smoke.add_argument("--family", choices=sorted(FAMILIES),
-                               default="EN-FR")
-    quality_smoke.add_argument("--size", type=int, default=150)
-    quality_smoke.add_argument("--dim", type=int, default=16)
-    quality_smoke.add_argument("--epochs", type=int, default=8)
-    quality_smoke.add_argument("--seed", type=int, default=0)
 
     robustness = commands.add_parser(
         "robustness",
@@ -822,24 +784,6 @@ def _cmd_obs_ledger(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs_gate(args: argparse.Namespace) -> int:
-    from .obs import RunLedger, gate, sweep_where
-
-    ledger = RunLedger(args.ledger)
-    report = gate(
-        ledger, metrics=args.metric or None, n_baseline=args.n_baseline,
-        run_id=args.run, rel_threshold=args.rel_threshold,
-        where=sweep_where(args.sweep) if args.sweep else None,
-    )
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.format())
-    if report.status == "no-runs":
-        return 2
-    return report.exit_code
-
-
 def _cmd_obs_conformance(args: argparse.Namespace) -> int:
     import json as json_module
 
@@ -876,99 +820,6 @@ def _cmd_obs_quality(args: argparse.Namespace) -> int:
     if skipped:
         print(f"(skipped {skipped} torn/unreadable line(s))")
     return 0
-
-
-def _cmd_quality_smoke(args: argparse.Namespace) -> int:
-    """End-to-end exercise of the quality-observability stack.
-
-    Three acts on a tiny synthetic dataset:
-
-    1. a deliberately diverging fit (SGD, absurd learning rate) that a
-       sentinel must abort before 50% of the epoch budget;
-    2. a probe-instrumented 2-fold CV whose record lands in the ledger
-       (when ``REPRO_LEDGER_PATH`` is set) with hits/MRR scalars — the
-       record ``make perf-gate``'s quality leg gates;
-    3. a conformance report of that ledger against the paper tables
-       (informational here: reduced-scale runs are expected to drift).
-
-    Exit 0 only if the sentinel tripped in time and the CV completed.
-    """
-    import dataclasses
-    import json as json_module
-
-    from .approaches import ApproachConfig, get_approach
-    from .obs import (RunLedger, conformance_report, format_quality_table,
-                      load_reference)
-    from .pipeline import cross_validate
-
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    pair = benchmark_pair(args.family, size=args.size, method="direct",
-                          seed=args.seed)
-    split = pair.five_fold_splits(seed=args.seed)[0]
-    base = ApproachConfig(dim=args.dim, epochs=args.epochs, lr=0.05,
-                          batch_size=512, n_negatives=3, seed=args.seed,
-                          valid_every=max(2, args.epochs // 2),
-                          probe_every=2, probe_sample=32, sentinel=True)
-    summary: dict = {}
-
-    # 1 — sentinel trip: budget 4x the normal run, must abort before 50%
-    diverging = dataclasses.replace(base, optimizer="sgd", lr=1e4,
-                                    epochs=args.epochs * 4)
-    approach = get_approach("MTransE", diverging)
-    with warnings.catch_warnings():
-        # the overflow is the point: this run is built to explode
-        warnings.simplefilter("ignore", RuntimeWarning)
-        log = approach.fit(pair, split, quality_path=out / "diverge.jsonl")
-    tripped = (log.status == "diverged"
-               and log.epochs_run < diverging.epochs * 0.5)
-    print(f"sentinel trip: status={log.status} "
-          f"epochs={log.epochs_run}/{diverging.epochs} "
-          f"reason={log.diverged_reason or '-'}")
-    summary["sentinel"] = {"status": log.status,
-                           "epochs_run": log.epochs_run,
-                           "budget": diverging.epochs,
-                           "reason": log.diverged_reason,
-                           "tripped_in_time": tripped}
-
-    # 2 — probe-instrumented CV; records a "cv" ledger run with quality
-    # scalars, and each fold writes quality.jsonl under its checkpoint
-    result = cross_validate(
-        lambda: get_approach("MTransE", base), pair, n_folds=2,
-        seed=args.seed, checkpoint_dir=out / "ckpt",
-    )
-    probes = result.folds[0].log.probes if result.folds else []
-    print(f"probe CV: status={result.status} "
-          f"hits@1={result.mean_std('hits@1')[0]:.3f}")
-    if probes:
-        print(format_quality_table(probes))
-    summary["cv"] = {"status": result.status,
-                     "hits_at_1": result.mean_std("hits@1")[0],
-                     "probes": len(probes)}
-
-    # 3 — conformance against the paper tables (informational at this
-    # scale: the verdict prints but does not fail the smoke)
-    ledger = RunLedger()
-    if ledger.path.is_file():
-        try:
-            reference = load_reference()
-        except OSError:
-            print("conformance: reference tables not found, skipped")
-        else:
-            report = conformance_report(ledger.records(), reference)
-            print(report.format())
-            summary["conformance"] = {"status": report.status,
-                                      "rows": len(report.rows)}
-    else:
-        print("conformance: no ledger (set REPRO_LEDGER_PATH), skipped")
-
-    ok = tripped and result.status in ("completed", "resumed") and probes
-    summary["ok"] = bool(ok)
-    (out / "quality_smoke.json").write_text(
-        json_module.dumps(summary, indent=2, sort_keys=True),
-        encoding="utf-8",
-    )
-    return 0 if ok else 1
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
@@ -1026,8 +877,8 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
             print(f"{point.threshold:10.4f} {point.precision:6.3f} "
                   f"{point.recall:6.3f} {point.f1:6.3f} "
                   f"{point.hits1_matchable:6.3f} {point.abstained:5d}")
-    # ledger the check (no-op unless REPRO_LEDGER_PATH is set) so
-    # `repro obs-gate` guards dangling_f1 like any quality metric
+    # ledger the check (no-op unless REPRO_LEDGER_PATH is set), so
+    # `repro obs-ledger` shows dangling_f1 next to the other runs
     from .obs import record_run
 
     record_run(
@@ -1126,14 +977,10 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_obs_smoke(args)
     if args.command == "obs-ledger":
         return _cmd_obs_ledger(args)
-    if args.command == "obs-gate":
-        return _cmd_obs_gate(args)
     if args.command == "obs-conformance":
         return _cmd_obs_conformance(args)
     if args.command == "obs-quality":
         return _cmd_obs_quality(args)
-    if args.command == "quality-smoke":
-        return _cmd_quality_smoke(args)
     if args.command == "robustness":
         return _cmd_robustness(args)
     if args.command == "obs-export":

@@ -28,16 +28,12 @@ See ``docs/observability.md`` for the full guide.
 
 from __future__ import annotations
 
-from .exporters import (
-    JsonLinesLogger,
-    render_prometheus,
-)
+from .exporters import render_prometheus
 from .live import (
     ProgressSink,
     StallDetector,
     append_jsonl,
     format_top,
-    get_progress,
     open_bus,
     read_state,
     report_progress,
@@ -68,13 +64,6 @@ from .quality import (
     QualityMonitor,
     conformance_report,
     load_reference,
-)
-from .regress import (
-    QUALITY_METRICS,
-    GateReport,
-    MetricPolicy,
-    MetricVerdict,
-    gate,
 )
 from .registry import (
     Counter,
@@ -120,14 +109,13 @@ __all__ = [
     "phase_breakdown", "format_phase_table", "format_op_table",
     "format_quality_table",
     "QualityMonitor", "ConformanceReport", "ConformanceRow",
-    "conformance_report", "load_reference", "QUALITY_METRICS",
+    "conformance_report", "load_reference",
     "ProgressSink", "report_progress", "set_progress_sink",
-    "get_progress", "StallDetector", "read_state", "format_top",
+    "StallDetector", "read_state", "format_top",
     "tail_jsonl", "open_bus", "append_jsonl",
     "RunLedger", "RunRecord", "record_run", "default_ledger",
     "config_fingerprint", "validate_record",
-    "GateReport", "MetricPolicy", "MetricVerdict", "gate",
-    "render_prometheus", "JsonLinesLogger",
+    "render_prometheus",
     "capture", "Capture",
 ]
 

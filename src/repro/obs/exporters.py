@@ -1,4 +1,4 @@
-"""Standard-format metric exporters: Prometheus text and structured logs.
+"""Standard-format metric exporter: Prometheus text.
 
 A SEA-style production alignment service ("SEA: A Scalable Entity
 Alignment System") treats scrapeable metrics as table stakes.  This
@@ -7,28 +7,19 @@ serialized ``snapshot()`` of one, e.g. out of a ledger record — in the
 Prometheus text exposition format: counters as ``*_total``, gauges
 verbatim, histograms as cumulative ``_bucket`` series with the
 ``_sum``/``_count`` pair and a ``+Inf`` bucket equal to the count.
-
-It also provides :class:`JsonLinesLogger`, a structured JSON-lines
-logger that stamps every record with the active tracer's trace id and
-the enclosing span's id/name, so log lines correlate with the Chrome
-traces the same run exports.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
-import time
 
 from .registry import MetricsRegistry, parse_labelled_name
-from .trace import get_tracer
 
 __all__ = [
     "render_prometheus",
     "sanitize_metric_name",
     "escape_label_value",
-    "JsonLinesLogger",
 ]
 
 _NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
@@ -163,50 +154,3 @@ def render_prometheus(
                     lines.append(f"{out_name}_count{_format_labels(labels)} "
                                  f"{count}")
     return "\n".join(lines) + "\n" if lines else ""
-
-
-class JsonLinesLogger:
-    """Structured JSON-lines logging correlated with the active trace.
-
-    Every record carries a timestamp, level, event name and free-form
-    fields; when a tracer is installed, also ``trace_id`` plus the
-    enclosing span's ``span_id``/``span`` — the same ids the Chrome
-    trace export shows, so a slow request's log lines can be found from
-    its flame chart and vice versa.
-
-    ``sink`` is a path (opened append) or any object with ``write``.
-    """
-
-    def __init__(self, sink, clock=time.time):
-        self._clock = clock
-        self._owns_handle = isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
-        self._handle = open(sink, "a", encoding="utf-8") \
-            if self._owns_handle else sink
-
-    def log(self, event: str, level: str = "info", **fields) -> dict:
-        """Write one record; returns the dict that was serialized."""
-        record = {"ts": self._clock(), "level": level, "event": event}
-        tracer = get_tracer()
-        if tracer is not None:
-            record["trace_id"] = tracer.trace_id
-            current = tracer.current_span
-            if current is not None:
-                record["span_id"] = current.id
-                record["span"] = current.name
-        record.update(fields)
-        self._handle.write(json.dumps(record, sort_keys=True, default=str)
-                           + "\n")
-        if hasattr(self._handle, "flush"):
-            self._handle.flush()
-        return record
-
-    def close(self) -> None:
-        if self._owns_handle:
-            self._handle.close()
-
-    def __enter__(self) -> "JsonLinesLogger":
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False

@@ -12,11 +12,10 @@ hash under which runs are comparable), host info, the full
 JSON-lines ledger (``reports/ledger.jsonl`` by default, overridable
 via ``REPRO_LEDGER_PATH`` or an explicit path).
 
-On top of the append-only file sit the query helpers the regression
-sentinel (:mod:`repro.obs.regress`) needs: :meth:`RunLedger.history`
-(metric series filtered by fingerprint/kind/name), trailing-N
-:meth:`RunLedger.baseline` extraction, and :meth:`RunLedger.compact`
-(bounded per-fingerprint retention, atomic rewrite).
+Its readers are ``repro obs-ledger`` (list / show / tail / compact),
+``repro obs-conformance`` and ``repro obs-export --ledger``.
+:meth:`RunLedger.compact` bounds per-fingerprint retention with an
+atomic rewrite.
 
 Corrupt trailing lines — the normal aftermath of an interrupted bench —
 are skipped, counted and reported, never fatal.
@@ -56,10 +55,6 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 DEFAULT_LEDGER_PATH = "reports/ledger.jsonl"
-
-# Run kinds the ledger understands; free-form kinds are allowed but the
-# canonical producers stick to these.
-KNOWN_KINDS = ("train", "bench", "cv", "serve", "sweep")
 
 _REQUIRED_FIELDS = {
     "schema_version": int,
@@ -197,43 +192,6 @@ def validate_record(data: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# metric resolution
-# ---------------------------------------------------------------------------
-def record_metric_value(record: dict, metric: str) -> float | None:
-    """Resolve ``metric`` inside one record: scalars first, then the
-    metrics snapshot.
-
-    Snapshot lookup accepts the exact labelled key
-    (``"serve.queries{approach=MTransE}"``), a bare name that matches a
-    single labelled series, and ``name:count`` / ``name:sum`` /
-    ``name:mean`` for histograms.  ``None`` when absent or ambiguous.
-    """
-    scalars = record.get("scalars", {})
-    if metric in scalars:
-        return float(scalars[metric])
-    snapshot = record.get("metrics", {})
-    base, _, suffix = metric.partition(":")
-    for section in ("gauges", "counters", "histograms"):
-        series = snapshot.get(section, {})
-        matches = [key for key in series
-                   if key == base or key.partition("{")[0] == base]
-        if len(matches) != 1:
-            continue
-        value = series[matches[0]]
-        if isinstance(value, dict):  # histogram snapshot
-            if suffix in ("count", "sum"):
-                return float(value.get(suffix, 0.0))
-            if suffix in ("", "mean"):
-                count = value.get("count", 0)
-                return float(value.get("sum", 0.0)) / count if count else None
-            return None
-        if suffix:
-            return None
-        return float(value)
-    return None
-
-
-# ---------------------------------------------------------------------------
 # the ledger
 # ---------------------------------------------------------------------------
 class RunLedger:
@@ -320,71 +278,6 @@ class RunLedger:
             return record
         return None
 
-    def tail(self, n: int = 10) -> list[dict]:
-        return self.records()[-n:]
-
-    # -- querying ------------------------------------------------------
-    def history(
-        self,
-        metric: str,
-        *,
-        where=None,
-        kind: str | None = None,
-        name: str | None = None,
-        fingerprint: str | None = None,
-        limit: int | None = None,
-    ) -> list[tuple[dict, float]]:
-        """``(record, value)`` pairs for every run where ``metric``
-        resolves, oldest first.
-
-        ``where`` narrows further: a callable ``record -> bool`` or a
-        dict of top-level equality constraints.
-        """
-        out: list[tuple[dict, float]] = []
-        for record in self.records():
-            if kind is not None and record["kind"] != kind:
-                continue
-            if name is not None and record["name"] != name:
-                continue
-            if fingerprint is not None and record["fingerprint"] != fingerprint:
-                continue
-            if callable(where):
-                if not where(record):
-                    continue
-            elif isinstance(where, dict):
-                if any(record.get(k) != v for k, v in where.items()):
-                    continue
-            value = record_metric_value(record, metric)
-            if value is not None:
-                out.append((record, value))
-        if limit is not None:
-            out = out[-limit:]
-        return out
-
-    def baseline(
-        self,
-        metric: str,
-        fingerprint: str,
-        *,
-        n: int = 5,
-        exclude_run_id: str | None = None,
-        kind: str | None = None,
-        name: str | None = None,
-        where=None,
-    ) -> list[float]:
-        """The trailing-``n`` values of ``metric`` among comparable runs.
-
-        This is what the regression sentinel compares the current run
-        against: same fingerprint, most recent ``n``, the current run
-        itself excluded.  ``where`` narrows the pool further — e.g. to
-        one sweep's records via :func:`sweep_where`.
-        """
-        series = self.history(metric, fingerprint=fingerprint, kind=kind,
-                              name=name, where=where)
-        values = [value for record, value in series
-                  if record["run_id"] != exclude_run_id]
-        return values[-n:]
-
     # -- maintenance ---------------------------------------------------
     def compact(self, keep_last: int = 20, *, where=None) -> tuple[int, int]:
         """Atomically rewrite the ledger keeping the trailing
@@ -468,7 +361,8 @@ def record_run(
 
     ``registry`` defaults to the process-wide one; its snapshot rides
     along so the ledger holds the full metric state, while ``scalars``
-    carries the handful of headline numbers the regression gate reads.
+    carries the handful of headline numbers ``obs-ledger`` prints and
+    ``obs-conformance`` joins.
     Without an explicit ``ledger``/``path`` the environment decides via
     :func:`default_ledger` — and when that is unset, this is a no-op.
     ``fingerprint`` overrides the config-derived digest — sweep jobs
@@ -483,7 +377,7 @@ def record_run(
     clean_scalars = {
         key: float(value) for key, value in (scalars or {}).items()
         if isinstance(value, (int, float)) and not isinstance(value, bool)
-        and value == value  # drop NaNs: they poison median baselines
+        and value == value  # drop NaNs: strict JSON readers reject them
     }
     record = RunRecord(
         kind=kind, name=name, config=dict(config or {}),

@@ -41,7 +41,6 @@ from pathlib import Path
 
 __all__ = [
     "report_progress",
-    "get_progress",
     "set_progress_sink",
     "ProgressSink",
     "tail_jsonl",
@@ -89,10 +88,6 @@ def report_progress(**fields) -> None:
     if sink is None:
         return
     sink.update(fields)
-
-
-def get_progress() -> ProgressSink | None:
-    return _PROGRESS_SINK
 
 
 def set_progress_sink(sink: ProgressSink | None) -> ProgressSink | None:

@@ -165,7 +165,7 @@ def format_phase_table(events: list[dict]) -> str:
 def format_quality_table(records: list[dict]) -> str:
     """Render a quality learning curve (``quality.jsonl`` probe records
     or ``TrainingLog.probes`` entries) as the per-epoch table the
-    ``obs-quality`` verb and ``quality-smoke`` print.
+    ``obs-quality`` and ``train`` verbs print.
 
     Accepts the raw record stream: non-probe records (sentinel events,
     unknown future kinds) pass through as annotation lines after the

@@ -155,9 +155,8 @@ class _Span:
         return False
 
 
-# Process-unique tracer ids: pid plus a monotone counter, so log lines
-# written by JsonLinesLogger can name the trace they belong to even
-# when several tracers run in one interpreter.
+# Process-unique tracer ids: pid plus a monotone counter, so the events
+# of several tracers in one interpreter name distinct traces.
 _TRACE_COUNTER = itertools.count(1)
 
 

@@ -412,8 +412,7 @@ def run_sweep(
             "sweep_seconds": result.seconds,
         }
         if sweep_telemetry is not None:
-            # per-worker peak RSS, heartbeat coverage, stall count —
-            # obs-gate can guard parallel-efficiency regressions on these
+            # per-worker peak RSS, heartbeat coverage, stall count
             scalars.update(sweep_telemetry.scalars())
         record_run(
             "sweep", f"{spec.name}/summary",
@@ -478,8 +477,8 @@ def _record_job(spec: SweepSpec, job: JobSpec, payload: dict) -> None:
 
     The record's *fingerprint* excludes the sweep id (job identity is
     comparable across sweeps of the same spec), while the *config*
-    carries it so ``obs-ledger --sweep`` / ``obs-gate --sweep`` can
-    scope queries to this sweep only.
+    carries it so ``obs-ledger --sweep`` / ``obs-conformance --sweep``
+    can scope queries to this sweep only.
     """
     fold = payload["fold_result"]
     scalars = {

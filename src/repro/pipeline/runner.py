@@ -256,7 +256,7 @@ def cross_validate(
             # the aggregate is still meaningful — but the run is flagged
             result.status = "diverged"
     # Persist the run to the ledger (no-op unless REPRO_LEDGER_PATH is
-    # set) so `repro obs-gate` can compare future CV runs against it.
+    # set), where `repro obs-ledger` and `repro obs-conformance` read it.
     record_run("cv", f"{name}/{pair.name}",
                config={**config, "status": result.status},
                scalars=(_cv_scalars(result, hits_at,
@@ -429,7 +429,7 @@ def _parallel_folds(pending, completed, *, factory, pair, splits, hits_at,
 
 def _cv_scalars(result: CVResult, hits_at: tuple[int, ...],
                 pool_parent: bool = False) -> dict:
-    """The headline CVResult numbers the regression gate understands.
+    """The headline CVResult numbers a ``cv`` ledger record carries.
 
     ``pool_parent`` marks runs that fanned folds out over worker
     processes: per-fold RSS then comes from the workers (their
@@ -461,8 +461,7 @@ def _cv_scalars(result: CVResult, hits_at: tuple[int, ...],
     nils = [fold.nil for fold in result.folds if fold.nil is not None]
     if nils:
         # corrupted-dataset runs: dangling detection + the matchable
-        # metrics under abstention, so `repro obs-gate` guards
-        # robustness regressions alongside clean-quality ones
+        # metrics under abstention, recorded next to clean quality
         scalars["dangling_f1"] = float(np.mean([n.f1 for n in nils]))
         scalars["dangling_precision"] = float(
             np.mean([n.precision for n in nils]))

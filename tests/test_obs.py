@@ -97,6 +97,9 @@ class TestTracer:
         assert [e["type"] for e in events] == ["span", "metrics"]
         assert events[0]["dur_s"] == pytest.approx(1.0)
 
+    def test_distinct_tracers_get_distinct_trace_ids(self):
+        assert Tracer().trace_id != Tracer().trace_id
+
     def test_load_events_rejects_bad_lines(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"ok": 1}\nnot json\n', encoding="utf-8")

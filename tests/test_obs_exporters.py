@@ -1,4 +1,4 @@
-"""Exporters: Prometheus text exposition and the JSON-lines logger.
+"""Exporters: Prometheus text exposition.
 
 The exposition round trip demanded by the ISSUE runs a real serve
 session, renders ``QueryEngine.metrics_text()`` and re-parses it with a
@@ -7,7 +7,6 @@ on: cumulative monotone ``_bucket`` series and a ``+Inf`` bucket equal
 to ``_count``.
 """
 
-import io
 import json
 import math
 
@@ -15,14 +14,8 @@ import numpy as np
 import pytest
 
 from repro import cli
-from repro.obs import (
-    JsonLinesLogger,
-    MetricsRegistry,
-    render_prometheus,
-    set_tracer,
-)
+from repro.obs import MetricsRegistry, render_prometheus
 from repro.obs.exporters import escape_label_value, sanitize_metric_name
-from repro.obs.trace import Tracer
 from repro.serve.engine import QueryEngine
 from repro.serve.store import StoredEmbeddings
 
@@ -178,56 +171,6 @@ class TestPrometheusRoundTrip:
         ((name, labels, value),) = samples
         assert name == "repro_serve_queries_total"
         assert labels["index"] == '\\"'.join(["iv", "f"])
-
-
-# ---------------------------------------------------------------------------
-# structured JSON-lines logging
-# ---------------------------------------------------------------------------
-class TestJsonLinesLogger:
-    def test_stamps_trace_and_span_ids(self):
-        tracer = Tracer()
-        previous = set_tracer(tracer)
-        sink = io.StringIO()
-        try:
-            logger = JsonLinesLogger(sink, clock=lambda: 123.0)
-            with tracer.span("fold", approach="MTransE"):
-                logger.log("epoch_done", epoch=3, loss=0.5)
-            logger.log("run_done", level="warning")
-        finally:
-            set_tracer(previous)
-        first, second = [json.loads(line)
-                         for line in sink.getvalue().splitlines()]
-        assert first["event"] == "epoch_done"
-        assert first["trace_id"] == tracer.trace_id
-        assert first["span"] == "fold"
-        assert first["span_id"] == tracer.events[-1]["id"]
-        assert first["ts"] == 123.0 and first["loss"] == 0.5
-        # outside any span: trace id only
-        assert second["trace_id"] == tracer.trace_id
-        assert "span_id" not in second
-        assert second["level"] == "warning"
-
-    def test_no_tracer_means_plain_records(self):
-        previous = set_tracer(None)
-        sink = io.StringIO()
-        try:
-            JsonLinesLogger(sink).log("hello", n=1)
-        finally:
-            set_tracer(previous)
-        record = json.loads(sink.getvalue())
-        assert record["event"] == "hello" and record["n"] == 1
-        assert "trace_id" not in record
-
-    def test_path_sink_owns_handle(self, tmp_path):
-        path = tmp_path / "app.jsonl"
-        with JsonLinesLogger(path) as logger:
-            logger.log("a")
-            logger.log("b")
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line)["event"] for line in lines] == ["a", "b"]
-
-    def test_distinct_tracers_get_distinct_trace_ids(self):
-        assert Tracer().trace_id != Tracer().trace_id
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,20 @@ it, and registry snapshots survive the cross-process JSON round trip
 (`snapshot() -> json -> merge_snapshot()`) RunRecords rely on.
 """
 
+import atexit
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro import cli
+from repro import cli, obs
 from repro.obs import MetricsRegistry
 from repro.obs.ledger import (
     RunLedger,
     RunRecord,
     config_fingerprint,
     default_ledger,
-    record_metric_value,
     record_run,
     validate_record,
 )
@@ -64,20 +64,6 @@ class TestRunRecord:
         with pytest.raises(ValueError):
             validate_record(data)
 
-    def test_metric_resolution(self):
-        registry = MetricsRegistry()
-        registry.gauge("train.loss", approach="MTransE").set(0.5)
-        registry.counter("serve.queries").inc(7)
-        registry.histogram("lat", buckets=(1.0,)).observe(0.5)
-        record = make_record(metrics=registry.snapshot()).to_dict()
-        assert record_metric_value(record, "steps_per_second") == 100.0
-        assert record_metric_value(record, "train.loss") == 0.5
-        assert record_metric_value(record, "serve.queries") == 7.0
-        assert record_metric_value(record, "lat:count") == 1.0
-        assert record_metric_value(record, "lat:mean") == 0.5
-        assert record_metric_value(record, "nope") is None
-
-
 class TestRunLedger:
     def test_append_and_read(self, tmp_path):
         ledger = RunLedger(tmp_path / "sub" / "ledger.jsonl")
@@ -105,27 +91,6 @@ class TestRunLedger:
         assert ledger.try_append(make_record()) is None
         assert "warning" in capsys.readouterr().err
 
-    def test_history_and_baseline(self, tmp_path):
-        ledger = RunLedger(tmp_path / "ledger.jsonl")
-        for value in (100.0, 110.0, 120.0):
-            ledger.append(make_record(
-                scalars={"steps_per_second": value}))
-        other = make_record(config={"x": 2},
-                            scalars={"steps_per_second": 1.0})
-        ledger.append(other)
-        fingerprint = make_record().fingerprint
-        series = ledger.history("steps_per_second",
-                                fingerprint=fingerprint)
-        assert [v for _, v in series] == [100.0, 110.0, 120.0]
-        last_id = series[-1][0]["run_id"]
-        assert ledger.baseline("steps_per_second", fingerprint, n=2,
-                               exclude_run_id=last_id) == [100.0, 110.0]
-        # dict and callable `where` filters
-        assert len(ledger.history("steps_per_second",
-                                  where={"kind": "bench"})) == 4
-        assert len(ledger.history("steps_per_second",
-                                  where=lambda r: r["config"]["x"] == 2)) == 1
-
     def test_compact_keeps_trailing_per_fingerprint(self, tmp_path):
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         for value in range(10):
@@ -133,7 +98,7 @@ class TestRunLedger:
         ledger.append(make_record(config={"x": 2}, scalars={"v": 777.0}))
         kept, dropped = ledger.compact(keep_last=3)
         assert (kept, dropped) == (4, 7)
-        values = [v for _, v in ledger.history("v")]
+        values = [r["scalars"]["v"] for r in ledger.records()]
         assert values == [7.0, 8.0, 9.0, 777.0]
 
     def test_default_ledger_env_gated(self, tmp_path, monkeypatch):
@@ -220,9 +185,17 @@ class TestBenchWiring:
         ledger_path = tmp_path / "ledger.jsonl"
         monkeypatch.setenv("REPRO_LEDGER_PATH", str(ledger_path))
         monkeypatch.syspath_prepend(str(BENCH_DIR))
+        tracer = obs.get_tracer()
         import _common
         monkeypatch.setattr(_common, "_RECORDED_BENCHES", set())
-        return ledger_path
+        yield ledger_path
+        # importing _common under REPRO_BENCH_TRACE installs a
+        # process-wide tracer and an atexit writer of its events: left
+        # behind, they would trace every later test and dump the events
+        # into benchmarks/reports/ at exit
+        if hasattr(_common, "_write_trace_reports"):
+            atexit.unregister(_common._write_trace_reports)
+        obs.set_tracer(tracer)
 
     def test_traced_bench_appends_one_valid_record(self, bench_env,
                                                    tmp_path, monkeypatch):
@@ -243,6 +216,14 @@ class TestBenchWiring:
         import _common
         _common.record_bench("BENCH_train_throughput")
         assert len(RunLedger(bench_env)) == 1
+        # a second bench process appends its own run, comparable to the
+        # first under one fingerprint
+        _common._RECORDED_BENCHES.clear()
+        bench.run(smoke=True, steps=2)
+        records, skipped = RunLedger(bench_env).read()
+        assert skipped == 0 and len(records) == 2
+        assert len({r["run_id"] for r in records}) == 2
+        assert len({r["fingerprint"] for r in records}) == 1
 
     def test_report_helper_records_once(self, bench_env, monkeypatch,
                                         tmp_path):
@@ -281,6 +262,12 @@ class TestBenchWiring:
         assert cli.main(["obs-ledger", "show", "nope",
                          "--ledger", missing]) == 2
         assert "error" in capsys.readouterr().err
+
+
+def test_bench_wiring_leaves_no_tracer_behind():
+    """Runs after TestBenchWiring: its fixture imports benchmarks/_common
+    under REPRO_BENCH_TRACE, which must not leave a tracer installed."""
+    assert obs.get_tracer() is None
 
 
 class TestCrossValidateRecording:

@@ -6,6 +6,11 @@ scales, with the row-sparse gradient path toggled on and off.  The
 dense path pays O(|E|) per step (full-table gradient allocation and a
 full-table optimizer update); the sparse path pays O(batch).
 
+A scale is (entities, batch, negatives per positive).  The 4,500-entity
+scale, at batch 1,024 with 5 negatives, gathers about 12K entity rows
+and 6K relation rows per step, the traffic of BootEA on the e2e
+benchmark's ``boot-2.5k`` input; the others gather about 1K entity rows.
+
 Writes ``benchmarks/reports/BENCH_train_throughput.json`` with median
 per-step milliseconds, steps/sec and the sparse-over-dense speedup for
 each scale.  The acceptance target is a >= 5x median step-time speedup
@@ -35,8 +40,8 @@ from _common import report_path, write_json_report
 
 REPORT_PATH = report_path("BENCH_train_throughput.json")
 
-FULL_SCALES = [(1_000, 256), (10_000, 256)]
-SMOKE_SCALES = [(500, 64)]
+FULL_SCALES = [(1_000, 256, 1), (4_500, 1_024, 5), (10_000, 256, 1)]
+SMOKE_SCALES = [(500, 64, 1)]
 N_RELATIONS = 20
 DIM = 64
 
@@ -53,17 +58,19 @@ def _make_batches(n_entities: int, batch_size: int, steps: int, seed: int):
     ]
 
 
-def _run_steps(model, optimizer, batches, n_entities, seed):
+def _run_steps(model, optimizer, batches, n_entities, n_negatives, seed):
     """Run the training steps, returning (per-step seconds, final loss)."""
     negative_rng = np.random.default_rng(seed)
     timings = []
     loss_value = float("nan")
     for batch in batches:
-        negatives = uniform_corrupt(batch, n_entities, 1, negative_rng)
+        negatives = uniform_corrupt(batch, n_entities, n_negatives, negative_rng)
         started = time.perf_counter()
         optimizer.zero_grad()
         positive = model.score(batch[:, 0], batch[:, 1], batch[:, 2])
         negative = model.score(negatives[:, 0], negatives[:, 1], negatives[:, 2])
+        if n_negatives > 1:
+            negative = negative.reshape(-1, n_negatives).mean(axis=1)
         loss = margin_ranking_loss(positive, negative)
         loss.backward()
         optimizer.step()
@@ -79,6 +86,7 @@ def measure_scale(
     warmup: int,
     optimizer_name: str = "adam",
     seed: int = 0,
+    n_negatives: int = 1,
 ) -> dict:
     """Time dense and sparse paths on identical batches/seeds."""
     batches = _make_batches(n_entities, batch_size, warmup + steps, seed)
@@ -92,7 +100,7 @@ def measure_scale(
             else:
                 optimizer = SGD(model.parameters(), lr=0.01)
             timings, loss = _run_steps(
-                model, optimizer, batches, n_entities, seed=seed + 1
+                model, optimizer, batches, n_entities, n_negatives, seed=seed + 1
             )
         finally:
             set_sparse_gradients(previous)
@@ -109,6 +117,7 @@ def measure_scale(
     )
     results["n_entities"] = n_entities
     results["batch_size"] = batch_size
+    results["n_negatives"] = n_negatives
     return results
 
 
@@ -130,13 +139,15 @@ def run(smoke: bool = False, steps: int | None = None) -> dict:
         "warmup_steps": warmup,
         "scales": [],
     }
-    for n_entities, batch_size in scales:
+    for n_entities, batch_size, n_negatives in scales:
         result = measure_scale(
-            n_entities, batch_size, steps, warmup, optimizer_name
+            n_entities, batch_size, steps, warmup, optimizer_name,
+            n_negatives=n_negatives,
         )
         report["scales"].append(result)
         print(
             f"  entities={n_entities:>6d} batch={batch_size:<4d} "
+            f"negatives={n_negatives} "
             f"dense={result['dense']['median_step_ms']:8.2f} ms/step  "
             f"sparse={result['sparse']['median_step_ms']:8.2f} ms/step  "
             f"speedup={result['speedup']:6.1f}x",

@@ -542,9 +542,10 @@ class EmbeddingApproach:
             if grad is None:
                 continue
             if isinstance(grad, SparseGrad):
+                # Optimizer.step left it coalesced: unique rows, no copy
                 grad = grad.coalesce()
                 grad_sq += float((grad.values ** 2).sum())
-                touched += len(np.unique(grad.indices))
+                touched += len(grad.indices)
             else:
                 grad_sq += float((np.asarray(grad) ** 2).sum())
                 touched += parameter.shape[0] if parameter.ndim else 1

@@ -130,16 +130,25 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray | SparseGrad) -> None:
+        """Add ``grad`` to this tensor's gradient.
+
+        No dense gradient is mutated in place.  A backward closure may
+        hand one array to several parents (``a + a``), or a view of its
+        own gradient (``reshape``, ``concat``), so a sum always allocates
+        and the first gradient is kept without a copy.
+        """
         if isinstance(grad, SparseGrad):
             if self.grad is None:
                 self.grad = grad
             elif isinstance(self.grad, SparseGrad):
                 self.grad = self.grad.merged(grad)
             else:
-                grad.add_to(self.grad)
+                dense = self.grad.copy()
+                grad.add_to(dense)
+                self.grad = dense
             return
         if self.grad is None:
-            self.grad = np.array(grad, dtype=np.float64, copy=True)
+            self.grad = np.asarray(grad, dtype=np.float64)
         elif isinstance(self.grad, SparseGrad):
             # A dense gradient joined a sparse one (e.g. a norm regularizer
             # over the full matrix): densify once and keep accumulating.
@@ -147,7 +156,7 @@ class Tensor:
             dense += grad
             self.grad = dense
         else:
-            self.grad += grad
+            self.grad = self.grad + grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor through the recorded graph."""

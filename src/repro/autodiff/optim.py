@@ -173,17 +173,8 @@ class Adagrad(Optimizer):
         grad = parameter.grad
         if isinstance(grad, SparseGrad):
             rows, values = grad.indices, grad.values
-            # accum[rows] += g**2; data[rows] -= lr * g / (sqrt(accum[rows]) + eps),
-            # in that operation order, on one gathered copy of the rows
-            accum_rows = accum[rows]
-            update = np.square(values)
-            accum_rows += update
-            accum[rows] = accum_rows
-            np.sqrt(accum_rows, out=accum_rows)
-            accum_rows += self.eps
-            np.multiply(values, self.lr, out=update)
-            update /= accum_rows
-            parameter.data[rows] -= update
+            accum[rows] += values**2
+            parameter.data[rows] -= self.lr * values / (np.sqrt(accum[rows]) + self.eps)
         else:
             accum += grad**2
             parameter.data -= self.lr * grad / (np.sqrt(accum) + self.eps)
@@ -204,20 +195,6 @@ class Adam(Optimizer):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        # 1 - beta**t for t = 0, 1, ...: derived from the betas, so it
-        # grows with the step counters and is never checkpointed
-        self._corrections = np.empty((2, 0))
-
-    def _correction_rows(self, t_rows: np.ndarray, ndim: int) -> tuple[np.ndarray, np.ndarray]:
-        """``1 - beta1**t`` and ``1 - beta2**t`` per row, broadcastable."""
-        needed = int(t_rows.max(initial=0)) + 1
-        if needed > self._corrections.shape[1]:
-            steps = np.arange(max(needed, 2 * self._corrections.shape[1]))
-            self._corrections = np.stack(
-                [1.0 - self.beta1**steps, 1.0 - self.beta2**steps]
-            )
-        correction1, correction2 = self._corrections[:, t_rows]
-        return _per_row(correction1, ndim), _per_row(correction2, ndim)
 
     def _init_state(self, parameter: Parameter, state: dict) -> None:
         if "m" not in state:
@@ -234,28 +211,14 @@ class Adam(Optimizer):
         if isinstance(grad, SparseGrad):
             rows, values = grad.indices, grad.values
             t[rows] += 1
-            correction1, correction2 = self._correction_rows(t[rows], ndim)
-            # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g**2;
-            # data -= lr * (m / c1) / (sqrt(v / c2) + eps), in that
-            # operation order, on one gathered copy of m and of v
-            m_rows = m[rows]
-            m_rows *= self.beta1
-            scaled = np.multiply(values, 1.0 - self.beta1)
-            m_rows += scaled
+            t_rows = t[rows]
+            m_rows = self.beta1 * m[rows] + (1.0 - self.beta1) * values
+            v_rows = self.beta2 * v[rows] + (1.0 - self.beta2) * values**2
             m[rows] = m_rows
-            v_rows = v[rows]
-            v_rows *= self.beta2
-            np.square(values, out=scaled)
-            scaled *= 1.0 - self.beta2
-            v_rows += scaled
             v[rows] = v_rows
-            m_rows /= correction1
-            v_rows /= correction2
-            np.sqrt(v_rows, out=v_rows)
-            v_rows += self.eps
-            m_rows *= self.lr
-            m_rows /= v_rows
-            parameter.data[rows] -= m_rows
+            m_hat = m_rows / _per_row(1.0 - self.beta1**t_rows, ndim)
+            v_hat = v_rows / _per_row(1.0 - self.beta2**t_rows, ndim)
+            parameter.data[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         else:
             t += 1
             m *= self.beta1

@@ -66,6 +66,13 @@ def _coalesce_rows(indices: np.ndarray, values: np.ndarray) -> tuple[np.ndarray,
     segments of more than 8 rows go through it; every shorter segment is
     summed one position at a time across all segments at once, in the
     same order.
+
+    The 8-row block, "first row plus the sum of the rest", and a short sum
+    that keeps ``-0.0`` (here it starts from the second row, not from
+    ``+0.0``) are numpy internals.  They were checked on numpy 2.4.6, and
+    ``pyproject.toml`` bounds numpy to 2.4.x;
+    ``tests/test_sparse_step_bit_identity.py`` fails on a numpy whose
+    pairwise sum differs.
     """
     n = indices.shape[0]
     if n == 0:

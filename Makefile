@@ -10,7 +10,9 @@ test:
 test-fast:
 	PYTHONPATH=src python -m pytest -q -m "not slow"
 
-# tier-1 gate: the exact command CI runs
+# tier-1 gate: every test, the slow ones included.  CI runs
+# `make test-fast` instead (.github/workflows/ci.yml), which
+# deselects the tests marked slow
 verify:
 	PYTHONPATH=src python -m pytest -x -q
 

@@ -19,6 +19,7 @@ from .literals import (
     name_vectors,
     value_word_vectors,
     vectors_to_matrix,
+    word_tables,
 )
 from .registry import (
     APPROACHES,
@@ -41,7 +42,7 @@ __all__ = [
     "APPROACHES", "get_approach", "REQUIRED_INFORMATION",
     "required_information_table",
     "char_vectors", "description_vectors", "name_vectors",
-    "value_word_vectors", "vectors_to_matrix",
+    "value_word_vectors", "vectors_to_matrix", "word_tables",
     "UnsupervisedProcrustes", "orthogonal_procrustes",
     "AliNet", "EXTRA_APPROACHES",
     "compose_approach", "COMBINATIONS", "ATTRIBUTE_CHANNELS",

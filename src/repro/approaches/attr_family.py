@@ -23,6 +23,7 @@ from .literals import (
     name_vectors,
     value_word_vectors,
     vectors_to_matrix,
+    word_tables,
 )
 from .trans_family import UnifiedTransApproach
 
@@ -47,8 +48,6 @@ class LiteralBlendApproach(UnifiedTransApproach):
             self.data.triples = np.zeros((0, 3), dtype=np.int64)
             if self._swapped is not None:
                 self._swapped = np.zeros((0, 3), dtype=np.int64)
-        self.lang1 = pair.metadata.get("lang1", "en")
-        self.lang2 = pair.metadata.get("lang2", "en")
         # channels: list of (weight, vectors_kg1, vectors_kg2)
         self.channels: list[tuple[float, dict, dict]] = []
         if self.config.use_attributes:
@@ -286,12 +285,9 @@ class IMUSE(LiteralBlendApproach):
         return collected
 
     def _build_channels(self, pair, rng) -> None:
-        vecs1 = value_word_vectors(
-            pair.kg1, language=self.lang1, dim=self.config.dim, seed=self.config.seed
-        )
-        vecs2 = value_word_vectors(
-            pair.kg2, language=self.lang2, dim=self.config.dim, seed=self.config.seed
-        )
+        table1, table2 = word_tables(pair, self.config.dim, self.config.seed)
+        vecs1 = value_word_vectors(pair.kg1, table1)
+        vecs2 = value_word_vectors(pair.kg2, table2)
         self.channels = [(1.0 - self.structure_weight, vecs1, vecs2)]
 
 
@@ -325,12 +321,9 @@ class KDCoE(LiteralBlendApproach):
     desc_pull_weight = 0.2
 
     def _build_channels(self, pair, rng) -> None:
-        self.desc1 = description_vectors(
-            pair.kg1, language=self.lang1, dim=self.config.dim, seed=self.config.seed
-        )
-        self.desc2 = description_vectors(
-            pair.kg2, language=self.lang2, dim=self.config.dim, seed=self.config.seed
-        )
+        table1, table2 = word_tables(pair, self.config.dim, self.config.seed)
+        self.desc1 = description_vectors(pair.kg1, table1)
+        self.desc2 = description_vectors(pair.kg2, table2)
         self.channels = [(1.0 - self.structure_weight, self.desc1, self.desc2)]
         # KDCoE trains a description encoder jointly with the KG embedding;
         # the cross-lingually anchored description space pulls the two KGs
@@ -373,11 +366,12 @@ class MultiKE(LiteralBlendApproach):
     structure_weight = 0.30
 
     def _build_channels(self, pair, rng) -> None:
-        dim, seed = self.config.dim, self.config.seed
-        names1 = name_vectors(pair.kg1, language=self.lang1, dim=dim, seed=seed)
-        names2 = name_vectors(pair.kg2, language=self.lang2, dim=dim, seed=seed)
-        attrs1 = value_word_vectors(pair.kg1, language=self.lang1, dim=dim, seed=seed)
-        attrs2 = value_word_vectors(pair.kg2, language=self.lang2, dim=dim, seed=seed)
+        # one table per KG serves both views
+        table1, table2 = word_tables(pair, self.config.dim, self.config.seed)
+        names1 = name_vectors(pair.kg1, table1)
+        names2 = name_vectors(pair.kg2, table2)
+        attrs1 = value_word_vectors(pair.kg1, table1)
+        attrs2 = value_word_vectors(pair.kg2, table2)
         self.channels = [
             (0.45, names1, names2),   # name view
             (0.25, attrs1, attrs2),   # attribute view

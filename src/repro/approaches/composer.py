@@ -36,7 +36,7 @@ from __future__ import annotations
 from ..embedding import RELATION_MODELS, TruncatedSampler
 from .attr_family import JAPE, LiteralBlendApproach
 from .base import ApproachConfig, ApproachInfo
-from .literals import char_vectors, name_vectors, value_word_vectors
+from .literals import char_vectors, name_vectors, value_word_vectors, word_tables
 
 __all__ = ["compose_approach", "COMBINATIONS", "ATTRIBUTE_CHANNELS"]
 
@@ -125,17 +125,14 @@ def compose_approach(
             if channel is None:
                 return
             dim, seed = self.config.dim, self.config.seed
-            lang1 = pair.metadata.get("lang1", "en")
-            lang2 = pair.metadata.get("lang2", "en")
-            if channel == "word":
-                vecs1 = value_word_vectors(pair.kg1, lang1, dim=dim, seed=seed)
-                vecs2 = value_word_vectors(pair.kg2, lang2, dim=dim, seed=seed)
+            if channel in ("word", "name"):
+                words = value_word_vectors if channel == "word" else name_vectors
+                table1, table2 = word_tables(pair, dim, seed)
+                vecs1 = words(pair.kg1, table1)
+                vecs2 = words(pair.kg2, table2)
             elif channel == "char":
                 vecs1 = char_vectors(pair.kg1, dim=dim, seed=seed)
                 vecs2 = char_vectors(pair.kg2, dim=dim, seed=seed)
-            elif channel == "name":
-                vecs1 = name_vectors(pair.kg1, lang1, dim=dim, seed=seed)
-                vecs2 = name_vectors(pair.kg2, lang2, dim=dim, seed=seed)
             else:  # correlation: reuse JAPE's AC2Vec channel construction
                 JAPE._build_channels(self, pair, rng)
                 self.channels = [(weight, c[1], c[2]) for c in self.channels]

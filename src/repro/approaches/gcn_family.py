@@ -15,7 +15,12 @@ from ..alignment import normalize_rows
 from ..autodiff import Tensor
 from ..embedding import GCNEncoder, normalized_adjacency
 from .base import ApproachInfo, EmbeddingApproach, PairData
-from .literals import name_vectors, value_word_vectors, vectors_to_matrix
+from .literals import (
+    name_vectors,
+    value_word_vectors,
+    vectors_to_matrix,
+    word_tables,
+)
 
 __all__ = ["GCNAlign", "RDGCN"]
 
@@ -187,12 +192,12 @@ class RDGCN(GCNApproachBase):
         if not config.use_attributes:
             rng = np.random.default_rng(config.seed)
             return rng.normal(scale=0.3, size=(self.data.n_entities, config.dim))
-        lang1 = pair.metadata.get("lang1", "en")
-        lang2 = pair.metadata.get("lang2", "en")
         features = np.zeros((self.data.n_entities, config.dim))
-        for kg, lang in ((pair.kg1, lang1), (pair.kg2, lang2)):
-            names = name_vectors(kg, language=lang, dim=config.dim, seed=config.seed)
-            values = value_word_vectors(kg, language=lang, dim=config.dim, seed=config.seed)
+        # one table per KG serves both literal parts
+        tables = word_tables(pair, config.dim, config.seed)
+        for kg, table in zip((pair.kg1, pair.kg2), tables):
+            names = name_vectors(kg, table)
+            values = value_word_vectors(kg, table)
             entities = sorted(kg.entities)
             matrix = 0.4 * vectors_to_matrix(names, entities, config.dim)
             matrix += 0.6 * vectors_to_matrix(values, entities, config.dim)

@@ -235,31 +235,42 @@ class UnifiedTransApproach(EmbeddingApproach):
         # losses and swapping, entity names for the Figure 7 records
         self.augmented: dict[int, int] = {}
         self._proposed: list[tuple[str, str]] = []
-        self._swapped = self._make_swapped() if self.swapping else None
+        self._swapped = None
+        self._alignment_changed()
 
     def _parameters(self):
         return self.model.parameters()
 
-    # -- swapping ------------------------------------------------------
+    # -- the training alignment as ids ---------------------------------
+    def _alignment_changed(self) -> None:
+        """Rebuild what the training alignment's ids feed, after set-up,
+        a self-training round or a resume: the calibration pairs (the
+        seeds, then the augmented pairs in insertion order) and, with
+        swapping, the swapped triples."""
+        augmented = np.array(list(self.augmented.items()), dtype=np.int64)
+        self._aligned_ids = np.concatenate(
+            [self.seeds.reshape(-1, 2), augmented.reshape(-1, 2)])
+        if self.swapping:
+            self._swapped = self._make_swapped()
+
     def _make_swapped(self) -> np.ndarray:
         """Parameter swapping: seed (and augmented) pairs exchange roles in
-        each other's triples (§2.2.3)."""
-        seed_map: dict[int, int] = {}
-        for a, b in self.seeds:
-            seed_map[int(a)] = int(b)
-            seed_map[int(b)] = int(a)
-        for a, b in self.augmented.items():
-            seed_map[a] = b
-            seed_map[b] = a
-        swapped = []
-        for head, relation, tail in self.data.triples:
-            if head in seed_map:
-                swapped.append((seed_map[head], relation, tail))
-            if tail in seed_map:
-                swapped.append((head, relation, seed_map[tail]))
-        if not swapped:
-            return np.zeros((0, 3), dtype=np.int64)
-        return np.array(swapped, dtype=np.int64)
+        each other's triples (§2.2.3).  A triple's head-swapped row comes
+        before its tail-swapped row; an entity in several pairs takes the
+        partner of its last one."""
+        ids = self._aligned_ids
+        entities, partners = ids.ravel(), ids[:, ::-1].ravel()
+        # an entity's last occurrence wins, as in a dict filled in order
+        last = len(entities) - 1 - np.unique(entities[::-1], return_index=True)[1]
+        partner = np.full(self.data.n_entities, -1, dtype=np.int64)
+        partner[entities[last]] = partners[last]
+        head, relation, tail = self.data.triples.T
+        new_head, new_tail = partner[head], partner[tail]
+        swapped = np.stack([
+            np.stack([new_head, relation, tail], axis=1),
+            np.stack([head, relation, new_tail], axis=1),
+        ], axis=1)
+        return swapped[np.stack([new_head >= 0, new_tail >= 0], axis=1)]
 
     def _train_triples(self) -> np.ndarray:
         if self._swapped is not None and len(self._swapped):
@@ -282,10 +293,9 @@ class UnifiedTransApproach(EmbeddingApproach):
 
     def _calibration_loss(self) -> Tensor:
         """Pull (non-merged) seed/augmented pairs together in the space."""
-        pairs = [(int(a), int(b)) for a, b in self.seeds] + list(self.augmented.items())
-        if self.calibration_weight <= 0.0 or not pairs:
+        ids = self._aligned_ids
+        if self.calibration_weight <= 0.0 or not len(ids):
             return Tensor(0.0)
-        ids = np.array(pairs, dtype=np.int64)
         e1 = self.model.entities(ids[:, 0])
         e2 = self.model.entities(ids[:, 1])
         return self.calibration_weight * (e1 - e2).square().sum(axis=1).mean()
@@ -318,7 +328,7 @@ class UnifiedTransApproach(EmbeddingApproach):
 
     def _self_train(self, iteration: int) -> None:
         """One round: propose from the pool, accumulate or edit, rebuild
-        the swapped triples and record the proposed alignment."""
+        the alignment's ids and record the proposed alignment."""
         pool1, pool2, source, target = self._proposal_space(iteration)
         proposals = [
             (pool1[i], pool2[j]) for i, j in mutual_nearest(
@@ -336,8 +346,7 @@ class UnifiedTransApproach(EmbeddingApproach):
             for a, b in proposals:
                 self.augmented[self.data.entity_id(a)] = self.data.entity_id(b)
             self._proposed = sorted(set(self._proposed) | set(proposals))
-        if self.swapping:
-            self._swapped = self._make_swapped()
+        self._alignment_changed()
         self._record_augmentation(iteration, self._proposed)
 
     def _proposal_space(
@@ -384,8 +393,7 @@ class UnifiedTransApproach(EmbeddingApproach):
         self.augmented = {int(a): int(b)
                           for a, b in state.get("augmented", [])}
         self._proposed = [(a, b) for a, b in state.get("proposed", [])]
-        if self.swapping:
-            self._swapped = self._make_swapped()
+        self._alignment_changed()
         # Best-effort: the truncated sampler's neighbor cache is rebuilt
         # from the restored embeddings, which equal the ones it was built
         # from only when the checkpoint fell on a refresh epoch; otherwise

@@ -99,12 +99,11 @@ class UnsupervisedProcrustes(EmbeddingApproach):
         self.space2 = _SingleKGSpace(pair.kg2, self.config, rng)
         self.pseudo_seeds = self._distant_supervision(pair)
         self.rotation = np.eye(self.config.dim)
-        from .literals import value_word_vectors
+        from .literals import value_word_vectors, word_tables
 
-        lang1 = pair.metadata.get("lang1", "en")
-        lang2 = pair.metadata.get("lang2", "en")
-        self._literals1 = value_word_vectors(pair.kg1, lang1, dim=self.config.dim)
-        self._literals2 = value_word_vectors(pair.kg2, lang2, dim=self.config.dim)
+        table1, table2 = word_tables(pair, self.config.dim)
+        self._literals1 = value_word_vectors(pair.kg1, table1)
+        self._literals2 = value_word_vectors(pair.kg2, table2)
         # validation (and the epoch-0 snapshot) scores the rotated space
         self._solve_procrustes()
 

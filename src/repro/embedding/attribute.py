@@ -89,5 +89,6 @@ def label2vec(
     """Label2Vec: per-entity label-like literal vectors (MultiKE's name
     view), built on pre-trained-style cross-lingual word embeddings."""
     from ..approaches.literals import name_vectors
+    from ..text import WordEmbeddingTable
 
-    return name_vectors(kg, language=language, dim=dim, seed=seed)
+    return name_vectors(kg, WordEmbeddingTable(dim=dim, language=language, seed=seed))

@@ -11,12 +11,32 @@ standing in for imperfect alignment of the embedding spaces.
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 
 import numpy as np
 
 from .translate import LANGUAGES, translate_back
 
-__all__ = ["WordEmbeddingTable", "CharEmbeddingTable", "embed_text"]
+__all__ = ["WordEmbeddingTable", "CharEmbeddingTable", "embed_text", "segment_sums"]
+
+
+def segment_sums(values: np.ndarray, members: np.ndarray,
+                 counts: np.ndarray) -> np.ndarray:
+    """Sum ``values[members]`` over consecutive segments of ``counts``
+    items, one output row per segment; zero rows for empty segments.
+
+    Each segment is summed left to right, as an axis-0 reduction does:
+    its first item is copied, then each later item is added in order.
+    All segments advance together, one position per step.
+    """
+    starts = np.cumsum(counts) - counts
+    out = np.zeros((len(counts),) + values.shape[1:])
+    rows = np.flatnonzero(counts)
+    out[rows] = values[members[starts[rows]]]
+    for position in range(1, int(counts.max(initial=0))):
+        rows = rows[counts[rows] > position]
+        out[rows] += values[members[starts[rows] + position]]
+    return out
 
 
 def _hash_vector(token: str, dim: int, salt: str = "") -> np.ndarray:
@@ -60,12 +80,32 @@ class WordEmbeddingTable:
         self._cache[token] = base
         return base
 
+    def embed_texts(self, texts) -> np.ndarray:
+        """Mean token vector of each text, shape ``(len(texts), dim)``;
+        zero rows for empty texts.
+
+        Each row equals ``np.mean`` over the text's stacked token vectors
+        bit for bit: the tokens are summed in order (:func:`segment_sums`,
+        the order of ``np.mean``'s axis-0 reduction), then divided by
+        their count.  Each distinct token is looked up once.
+        """
+        ids: dict[str, int] = {}
+        tokens = [[ids.setdefault(t, len(ids)) for t in text.split()]
+                  for text in texts]
+        if not ids:
+            return np.zeros((len(tokens), self.dim))
+        vectors = np.stack([self.vector(t) for t in ids])
+        lengths = np.array([len(row) for row in tokens], dtype=np.int64)
+        flat = np.fromiter(chain.from_iterable(tokens), dtype=np.int64,
+                           count=int(lengths.sum()))
+        out = segment_sums(vectors, flat, lengths)
+        rows = np.flatnonzero(lengths)
+        out[rows] /= lengths[rows, None]
+        return out
+
     def embed_text(self, text: str) -> np.ndarray:
         """Mean of the token vectors; zero vector for empty text."""
-        tokens = [t for t in text.split() if t]
-        if not tokens:
-            return np.zeros(self.dim)
-        return np.mean([self.vector(t) for t in tokens], axis=0)
+        return self.embed_texts([text])[0]
 
 
 class CharEmbeddingTable:
